@@ -42,7 +42,7 @@
 #include "core/tpp.h"
 #include "graph/datasets.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 namespace tpp::bench {
 namespace {
@@ -51,8 +51,8 @@ using core::IndexedEngine;
 using core::TppInstance;
 using graph::EdgeKey;
 using motif::IncidenceIndex;
-using motif::LegacyIncidenceIndex;
 using motif::MotifKind;
+using reference::LegacyIncidenceIndex;
 
 constexpr size_t kNumTargets = 20;
 

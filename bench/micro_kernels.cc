@@ -14,7 +14,7 @@
 #include "metrics/spectral.h"
 #include "motif/enumerate.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 namespace tpp {
 namespace {
@@ -65,8 +65,8 @@ BENCHMARK(BM_IncidenceIndexBuild)->Arg(0)->Arg(1)->Arg(2);
 void BM_LegacyGainSweep(benchmark::State& state) {
   MotifKind kind = static_cast<MotifKind>(state.range(0));
   TppInstance inst = MakeArenasInstance(kind, 20);
-  auto index =
-      *motif::LegacyIncidenceIndex::Build(inst.released, inst.targets, kind);
+  auto index = *reference::LegacyIncidenceIndex::Build(inst.released,
+                                                       inst.targets, kind);
   for (auto _ : state) {
     size_t sum = 0;
     for (graph::EdgeKey e : index.AliveCandidateEdges()) {
@@ -98,7 +98,7 @@ BENCHMARK(BM_CsrGainSweep)->Arg(0)->Arg(1)->Arg(2);
 // additionally maintains the per-edge alive-count caches.
 void BM_LegacyDeleteCommit(benchmark::State& state) {
   TppInstance inst = MakeArenasInstance(MotifKind::kRectangle, 20);
-  auto index = *motif::LegacyIncidenceIndex::Build(
+  auto index = *reference::LegacyIncidenceIndex::Build(
       inst.released, inst.targets, MotifKind::kRectangle);
   auto candidates = index.AliveCandidateEdges();
   for (auto _ : state) {

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -89,8 +90,11 @@ int GlobalThreadCount() {
   if (explicit_count > 0) return explicit_count;
   int64_t env = EnvInt("TPP_THREADS", 0);
   if (env > 0) return static_cast<int>(env);
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  // hardware_concurrency() reads sysfs on every call, and the round
+  // engine resolves the default once per greedy round; read it once.
+  static const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return hw;
 }
 
 void SetGlobalThreadCount(int threads) {

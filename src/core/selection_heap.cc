@@ -31,26 +31,18 @@ void SelectionHeap::BuildFinish() {
       SiftDown(slot);
     }
   }
-  if (stats_ != nullptr) {
-    ++stats_->builds;
-    stats_->built_rows += heap_.size();
-  }
 }
 
 void SelectionHeap::Update(uint32_t row, uint64_t priority) {
   TPP_CHECK_LT(row, pos_.size());
   const uint32_t slot = pos_[row];
   if (slot == kAbsent) {
-    if (priority == 0) {
-      if (stats_ != nullptr) ++stats_->noops;
-      return;  // absent and unselectable: nothing to do
-    }
+    if (priority == 0) return;  // absent and unselectable: nothing to do
     // Insert: append and sift up.
     pos_[row] = static_cast<uint32_t>(heap_.size());
     prio_[row] = priority;
     heap_.push_back(row);
     SiftUp(heap_.size() - 1);
-    if (stats_ != nullptr) ++stats_->inserts;
     return;
   }
   if (priority == 0) {
@@ -66,13 +58,9 @@ void SelectionHeap::Update(uint32_t row, uint64_t priority) {
       SiftDown(slot);
       SiftUp(pos_[last]);
     }
-    if (stats_ != nullptr) ++stats_->removes;
     return;
   }
-  if (prio_[row] == priority) {
-    if (stats_ != nullptr) ++stats_->noops;
-    return;
-  }
+  if (prio_[row] == priority) return;
   const bool increased = priority > prio_[row];
   prio_[row] = priority;
   if (increased) {
@@ -80,29 +68,24 @@ void SelectionHeap::Update(uint32_t row, uint64_t priority) {
   } else {
     SiftDown(slot);
   }
-  if (stats_ != nullptr) ++stats_->rekeys;
 }
 
 void SelectionHeap::SiftUp(size_t slot) {
   const uint32_t row = heap_[slot];
-  size_t steps = 0;
   while (slot > 0) {
     const size_t parent = (slot - 1) / kArity;
     if (!Before(row, heap_[parent])) break;
     heap_[slot] = heap_[parent];
     pos_[heap_[slot]] = static_cast<uint32_t>(slot);
     slot = parent;
-    ++steps;
   }
   heap_[slot] = row;
   pos_[row] = static_cast<uint32_t>(slot);
-  if (stats_ != nullptr) stats_->sift_steps += steps;
 }
 
 void SelectionHeap::SiftDown(size_t slot) {
   const uint32_t row = heap_[slot];
   const size_t n = heap_.size();
-  size_t steps = 0;
   for (;;) {
     const size_t first = slot * kArity + 1;
     if (first >= n) break;
@@ -117,11 +100,9 @@ void SelectionHeap::SiftDown(size_t slot) {
     heap_[slot] = heap_[best];
     pos_[heap_[slot]] = static_cast<uint32_t>(slot);
     slot = best;
-    ++steps;
   }
   heap_[slot] = row;
   pos_[row] = static_cast<uint32_t>(slot);
-  if (stats_ != nullptr) stats_->sift_steps += steps;
 }
 
 }  // namespace tpp::core

@@ -1,5 +1,5 @@
-// SelectionHeap: the addressable max-heap behind heap-mode greedy
-// selection and the dirty-aware CELF path (core/greedy.cc).
+// SelectionHeap: the addressable max-heap behind the dirty-aware CELF path
+// of SGB (core/greedy.cc).
 //
 // The incremental round engine (PR 5) made per-round GAIN maintenance
 // proportional to the dirty set of the committed deletion, but SELECTION
@@ -9,17 +9,15 @@
 // priority, supports decrease/increase-key by row id, and orders entries
 // by (priority descending, row ascending). Because the round universe is
 // ascending by edge key, the heap's top is EXACTLY the row the flat scan's
-// first-strict-max rule would select, so heap-mode picks are bit-identical
-// to the cold sweep by construction. A round then costs
+// first-strict-max rule would select, so heap picks are bit-identical to
+// the cold sweep by construction. A round then costs
 // O(|dirty| * log(universe)) re-keys instead of an O(universe) scan.
 //
-// Priorities are opaque uint64s supplied by the selection layer:
-//   SGB    — the total gain;
-//   CT/WT  — PackSplit(own, cross) = (own << 32) | cross, whose integer
-//            order equals the paper's lexicographic (own, cross) rule.
-// Priority 0 means "not selectable" (every greedy pick requires a positive
-// gain): Update(row, 0) removes the row, and rows with priority 0 are
-// never inserted, so Top() is always a legal pick.
+// Priorities are opaque uint64s supplied by the selection layer (SGB
+// keys rows by their total gain). Priority 0 means "not selectable" (every
+// greedy pick requires a positive gain): Update(row, 0) removes the row,
+// and rows with priority 0 are never inserted, so Top() is always a legal
+// pick.
 //
 // Layout: a 4-ary implicit heap of row ids (heap_) with an inverse
 // position map (pos_) and a row -> priority array (prio_). 4-ary beats
@@ -48,31 +46,12 @@
 
 namespace tpp::core {
 
-/// Operation counters of one or more SelectionHeap sessions — the
-/// heap-ops / dirty-repush telemetry bench/solver_rounds reports.
-struct SelectionHeapStats {
-  uint64_t builds = 0;      ///< bulk Build() heapifies (session restarts)
-  uint64_t built_rows = 0;  ///< entries those builds inserted
-  uint64_t rekeys = 0;      ///< Update() calls that changed a live entry
-  uint64_t inserts = 0;     ///< Update() calls that added a missing row
-  uint64_t removes = 0;     ///< Update(row, 0) calls that dropped a row
-  uint64_t noops = 0;       ///< Update() calls that changed nothing
-  uint64_t sift_steps = 0;  ///< total levels moved by all sifts
-};
-
 /// See file comment. Reset() before use; one heap serves one selection
 /// session (universe size fixed between Reset()s).
 class SelectionHeap {
  public:
   /// Row sentinel: not in the heap.
   static constexpr uint32_t kAbsent = 0xffffffffu;
-
-  /// Packs a (own, cross) split gain into a priority whose integer order
-  /// is the lexicographic (own, cross) order — the paper's CT/WT rule.
-  /// Both halves must fit in 32 bits (counts are uint32 everywhere).
-  static constexpr uint64_t PackSplit(uint32_t own, uint32_t cross) {
-    return (static_cast<uint64_t>(own) << 32) | cross;
-  }
 
   /// Clears the heap and sizes it for rows [0, universe). O(universe).
   void Reset(size_t universe);
@@ -85,9 +64,9 @@ class SelectionHeap {
   void BuildAdd(uint32_t row, uint64_t priority);
   void BuildFinish();
 
-  /// Re-keys `row` to `priority`: sifts a live entry (decrease OR
-  /// increase — CT re-seats can move either way in cross), inserts an
-  /// absent row with positive priority, removes a live row at priority 0.
+  /// Re-keys `row` to `priority`: sifts a live entry (decrease or
+  /// increase), inserts an absent row with positive priority, removes a
+  /// live row at priority 0.
   /// No-op when the priority is unchanged. O(log n).
   void Update(uint32_t row, uint64_t priority);
 
@@ -107,9 +86,6 @@ class SelectionHeap {
     return row < pos_.size() && pos_[row] != kAbsent;
   }
 
-  /// Optional operation counters; aggregate across sessions when reused.
-  void set_stats(SelectionHeapStats* stats) { stats_ = stats; }
-
  private:
   static constexpr size_t kArity = 4;
 
@@ -124,7 +100,6 @@ class SelectionHeap {
   std::vector<uint32_t> heap_;  // heap slots -> row ids
   std::vector<uint32_t> pos_;   // row id -> heap slot, or kAbsent
   std::vector<uint64_t> prio_;  // row id -> current priority
-  SelectionHeapStats* stats_ = nullptr;
 };
 
 }  // namespace tpp::core

@@ -24,9 +24,6 @@ size_t EffectiveBudget(const SolverSpec& spec, Engine& engine) {
 GreedyOptions OptionsOf(const SolverSpec& spec) {
   GreedyOptions opts;
   opts.scope = spec.scope;
-  opts.lazy = spec.lazy;
-  opts.rounds = spec.rounds;
-  opts.celf = spec.celf;
   opts.cancel = spec.cancel;
   return opts;
 }
@@ -193,23 +190,6 @@ Result<CandidateScope> ParseCandidateScope(std::string_view name) {
   if (name == "subgraph") return CandidateScope::kTargetSubgraphEdges;
   return Status::InvalidArgument(
       StrFormat("scope '%s' (want all|subgraph)",
-                std::string(name).c_str()));
-}
-
-Result<RoundMode> ParseRoundMode(std::string_view name) {
-  if (name == "incremental") return RoundMode::kIncremental;
-  if (name == "cold") return RoundMode::kColdSweep;
-  if (name == "heap") return RoundMode::kHeap;
-  return Status::InvalidArgument(
-      StrFormat("rounds '%s' (want incremental|cold|heap)",
-                std::string(name).c_str()));
-}
-
-Result<CelfMode> ParseCelfMode(std::string_view name) {
-  if (name == "dirty") return CelfMode::kDirtyAware;
-  if (name == "classic") return CelfMode::kClassic;
-  return Status::InvalidArgument(
-      StrFormat("celf '%s' (want dirty|classic)",
                 std::string(name).c_str()));
 }
 

@@ -155,11 +155,8 @@ std::vector<PlanResponse> PlanService::RunPipeline(
 
   // -- Stage 1: canonicalize. One content key per request, a pure
   // function of the base-graph fingerprint and the request payload.
-  // Keys feed dedup and the cache only; with both disabled the stage is
-  // skipped entirely.
-  const bool need_keys = options.dedup || options.cache != nullptr;
-  std::vector<std::string> keys(need_keys ? n : 0);
-  for (size_t i = 0; i < keys.size(); ++i) {
+  std::vector<std::string> keys(n);
+  for (size_t i = 0; i < n; ++i) {
     keys[i] = CanonicalRequestKey(fingerprint_, requests[i]);
   }
 
@@ -167,7 +164,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
   // representative; later occurrences share its response. Identical keys
   // imply identical payloads, so sharing is bit-identical to re-solving.
   std::vector<size_t> rep(n);
-  if (options.dedup) {
+  {
     std::unordered_map<std::string_view, size_t> first;
     first.reserve(n * 2);
     for (size_t i = 0; i < n; ++i) {
@@ -175,8 +172,6 @@ std::vector<PlanResponse> PlanService::RunPipeline(
       rep[i] = it->second;
       if (!inserted) ++stats.dedup_shared;
     }
-  } else {
-    for (size_t i = 0; i < n; ++i) rep[i] = i;
   }
 
   // -- Stage 3: cache probe (representatives only). Hits are final
@@ -269,9 +264,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     } else {
       response.targets = request.targets;
     }
-    if (options.share_instances) {
-      unit.group = repository.Intern(response.targets, request.motif);
-    }
+    unit.group = repository.Intern(response.targets, request.motif);
   }
 
   // -- Stages 5-7: build-once, solve, serialize, cache-fill. Units are
@@ -296,34 +289,13 @@ std::vector<PlanResponse> PlanService::RunPipeline(
       response.status = PollCancellation(unit.cancel, "pipeline:solve");
     }
     if (!unit.failed && response.status.ok()) {
-      if (unit.group != kNoGroup) {
-        Result<IndexedEngine> engine =
-            repository.AcquireEngine(unit.group, unit.cancel);
-        if (!engine.ok()) {
-          response.status = engine.status();
-        } else {
-          SolveWithEngine(request, repository.instance(unit.group), *engine,
-                          *unit.rng, unit.cancel, &response);
-        }
+      Result<IndexedEngine> engine =
+          repository.AcquireEngine(unit.group, unit.cancel);
+      if (!engine.ok()) {
+        response.status = engine.status();
       } else {
-        // Unshared path (share_instances off): the per-request build of
-        // RunOne.
-        Result<TppInstance> instance =
-            core::MakeInstance(base_, response.targets, request.motif);
-        if (!instance.ok()) {
-          response.status = instance.status();
-        } else {
-          motif::IncidenceIndex::BuildOptions build_options;
-          build_options.cancel = unit.cancel;
-          Result<IndexedEngine> engine =
-              IndexedEngine::Create(*instance, build_options);
-          if (!engine.ok()) {
-            response.status = engine.status();
-          } else {
-            SolveWithEngine(request, *instance, *engine, *unit.rng,
-                            unit.cancel, &response);
-          }
-        }
+        SolveWithEngine(request, repository.instance(unit.group), *engine,
+                        *unit.rng, unit.cancel, &response);
       }
       if (response.status.ok()) response.seconds = timer.Seconds();
     }
@@ -550,6 +522,24 @@ Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
                                          size_t index) {
   PlanRequest request;
   request.name = StrFormat("r%zu", index);
+  // Every value error names the request line.
+  auto at_line = [line](const Status& status) {
+    return Status::InvalidArgument(
+        StrFormat("line %zu: %s", line, status.ToString().c_str()));
+  };
+  auto int_value = [&](std::string_view value) -> Result<int64_t> {
+    Result<int64_t> n = ParseInt64(value);
+    if (!n.ok()) return at_line(n.status());
+    return n;
+  };
+  auto bool_value = [&](std::string_view key,
+                        std::string_view value) -> Result<bool> {
+    if (value == "1" || value == "true") return true;
+    if (value == "0" || value == "false") return false;
+    return Status::InvalidArgument(
+        StrFormat("line %zu: %s '%s' (want 0|1|false|true)", line,
+                  std::string(key).c_str(), std::string(value).c_str()));
+  };
   for (std::string_view token : SplitNonEmpty(text, " \t")) {
     size_t eq = token.find('=');
     if (eq == std::string_view::npos) {
@@ -581,66 +571,45 @@ Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
     } else if (key == "algorithm") {
       request.spec.algorithm = std::string(value);
     } else if (key == "motif") {
-      TPP_ASSIGN_OR_RETURN(request.motif, motif::ParseMotifKind(value));
+      Result<motif::MotifKind> kind = motif::ParseMotifKind(value);
+      if (!kind.ok()) return at_line(kind.status());
+      request.motif = *kind;
     } else if (key == "sample") {
-      TPP_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
+      TPP_ASSIGN_OR_RETURN(int64_t n, int_value(value));
+      if (n < 0) {
+        return Status::InvalidArgument(
+            StrFormat("line %zu: sample %lld is negative", line,
+                      static_cast<long long>(n)));
+      }
       request.sample = static_cast<size_t>(n);
     } else if (key == "links") {
       Result<std::vector<Edge>> links = ParseLinkList(value);
-      if (!links.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: %s", line,
-                      links.status().ToString().c_str()));
-      }
+      if (!links.ok()) return at_line(links.status());
       request.targets = std::move(*links);
     } else if (key == "seed") {
-      TPP_ASSIGN_OR_RETURN(int64_t seed, ParseInt64(value));
+      TPP_ASSIGN_OR_RETURN(int64_t seed, int_value(value));
       request.seed = static_cast<uint64_t>(seed);
     } else if (key == "budget") {
       if (value == "full") {
         request.spec.budget = SolverSpec::kFullProtection;
       } else {
-        TPP_ASSIGN_OR_RETURN(int64_t budget, ParseInt64(value));
+        TPP_ASSIGN_OR_RETURN(int64_t budget, int_value(value));
         request.spec.budget = core::BudgetFromFlag(budget);
       }
     } else if (key == "scope") {
       Result<core::CandidateScope> scope = core::ParseCandidateScope(value);
-      if (!scope.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: %s", line,
-                      scope.status().ToString().c_str()));
-      }
+      if (!scope.ok()) return at_line(scope.status());
       request.spec.scope = *scope;
     } else if (key == "lazy") {
-      request.spec.lazy = value == "1" || value == "true";
-    } else if (key == "rounds") {
-      // Wall-clock knob only: every round mode is bit-identical in
-      // output, so the plan-cache fingerprint ignores it (requests
-      // differing only here share a cache entry, correctly).
-      Result<core::RoundMode> rounds = core::ParseRoundMode(value);
-      if (!rounds.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: %s", line,
-                      rounds.status().ToString().c_str()));
-      }
-      request.spec.rounds = *rounds;
-    } else if (key == "celf") {
-      Result<core::CelfMode> celf = core::ParseCelfMode(value);
-      if (!celf.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: %s", line,
-                      celf.status().ToString().c_str()));
-      }
-      request.spec.celf = *celf;
+      TPP_ASSIGN_OR_RETURN(request.spec.lazy, bool_value(key, value));
     } else if (key == "deadline_ms") {
-      // Wall-clock knob like rounds=: excluded from the cache key (a
-      // deadline changes whether a run finishes, not what it produces).
-      TPP_ASSIGN_OR_RETURN(int64_t deadline, ParseInt64(value));
-      request.deadline_ms = deadline;
+      // Wall-clock knob: excluded from the cache key (a deadline changes
+      // whether a run finishes, not what it produces).
+      TPP_ASSIGN_OR_RETURN(request.deadline_ms, int_value(value));
     } else if (key == "released") {
       // Carrying the released graph costs O(graph) memory per response;
       // batches opt in per request.
-      request.want_released = value == "1" || value == "true";
+      TPP_ASSIGN_OR_RETURN(request.want_released, bool_value(key, value));
     } else {
       return Status::InvalidArgument(
           StrFormat("line %zu: unknown key '%s'", line,
@@ -651,10 +620,7 @@ Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
   // unsupported flag combination should fail at parse time, not
   // mid-batch.
   Status valid = core::ValidateSolverSpec(request.spec);
-  if (!valid.ok()) {
-    return Status::InvalidArgument(
-        StrFormat("line %zu: %s", line, valid.ToString().c_str()));
-  }
+  if (!valid.ok()) return at_line(valid);
   return request;
 }
 

@@ -150,16 +150,6 @@ struct BatchOptions {
   /// keys embed the base-graph fingerprint). nullptr disables the
   /// cache-probe and cache-fill stages.
   PlanCache* cache = nullptr;
-  /// Build each distinct (targets, motif) instance once and clone engines
-  /// (instance_repository.h). Off reproduces the build-per-request path,
-  /// kept for benchmarking the sharing gain; output is identical either
-  /// way.
-  bool share_instances = true;
-  /// Solve identical in-batch requests once and share the response. Off
-  /// solves every request individually (with dedup, sharing, and cache
-  /// all off, the pipeline degenerates to the historical
-  /// one-solve-per-request batch); output is identical either way.
-  bool dedup = true;
   /// Optional disk-backed warm-start store (store/warm_store.h). The
   /// build-once stage probes it for IncidenceIndex snapshots before
   /// building (writing cold builds back), making the expensive index

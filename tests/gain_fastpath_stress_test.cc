@@ -14,7 +14,7 @@
 #include "core/problem.h"
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 namespace tpp::motif {
 namespace {
@@ -25,6 +25,7 @@ using core::TppInstance;
 using graph::Edge;
 using graph::EdgeKey;
 using graph::Graph;
+using reference::LegacyIncidenceIndex;
 
 // Independent per-edge recount straight off the instance list: the gain of
 // `e` is the number of alive instances containing it.

@@ -12,6 +12,7 @@
 #include "core/indexed_engine.h"
 #include "core/problem.h"
 #include "graph/generators.h"
+#include "reference/cold_greedy.h"
 
 namespace tpp::core {
 namespace {
@@ -96,17 +97,15 @@ TEST_P(GreedyPropertyTest, RestrictedScopeMatchesFullScope) {
   }
 }
 
-TEST_P(GreedyPropertyTest, LazyMatchesEagerOnRandomInstances) {
+TEST_P(GreedyPropertyTest, MatchesColdReferenceOnRandomInstances) {
   TppInstance inst = RandomInstance(19, 22, 0.3, 4);
-  IndexedEngine eager_engine = *IndexedEngine::Create(inst);
-  IndexedEngine lazy_engine = *IndexedEngine::Create(inst);
-  GreedyOptions lazy_opts;
-  lazy_opts.lazy = true;
-  ProtectionResult eager = *SgbGreedy(eager_engine, 8);
-  ProtectionResult lazy = *SgbGreedy(lazy_engine, 8, lazy_opts);
-  ASSERT_EQ(eager.protectors.size(), lazy.protectors.size());
-  for (size_t i = 0; i < eager.protectors.size(); ++i) {
-    EXPECT_EQ(eager.protectors[i], lazy.protectors[i]) << "pick " << i;
+  IndexedEngine engine = *IndexedEngine::Create(inst);
+  IndexedEngine cold_engine = *IndexedEngine::Create(inst);
+  ProtectionResult result = *SgbGreedy(engine, 8);
+  ProtectionResult cold = *reference::SgbGreedyEagerCold(cold_engine, 8);
+  ASSERT_EQ(cold.protectors.size(), result.protectors.size());
+  for (size_t i = 0; i < cold.protectors.size(); ++i) {
+    EXPECT_EQ(cold.protectors[i], result.protectors[i]) << "pick " << i;
   }
 }
 

@@ -9,6 +9,7 @@
 #include "core/naive_engine.h"
 #include "core/problem.h"
 #include "graph/fixtures.h"
+#include "reference/cold_greedy.h"
 #include "test_util.h"
 
 namespace tpp::core {
@@ -91,21 +92,18 @@ TEST(SgbGreedyTest, ZeroBudgetDeletesNothing) {
   EXPECT_EQ(result.final_similarity, result.initial_similarity);
 }
 
-TEST(SgbGreedyTest, LazyMatchesEagerPickForPick) {
+TEST(SgbGreedyTest, MatchesColdReferencePickForPick) {
   TppInstance inst = InstanceFromFig2();
-  IndexedEngine eager_engine = *IndexedEngine::Create(inst);
-  IndexedEngine lazy_engine = *IndexedEngine::Create(inst);
-  GreedyOptions eager_opts, lazy_opts;
-  lazy_opts.lazy = true;
-  ProtectionResult eager = *SgbGreedy(eager_engine, 4, eager_opts);
-  ProtectionResult lazy = *SgbGreedy(lazy_engine, 4, lazy_opts);
-  ASSERT_EQ(eager.protectors.size(), lazy.protectors.size());
-  for (size_t i = 0; i < eager.protectors.size(); ++i) {
-    EXPECT_EQ(eager.protectors[i], lazy.protectors[i]) << "pick " << i;
+  IndexedEngine engine = *IndexedEngine::Create(inst);
+  IndexedEngine cold_engine = *IndexedEngine::Create(inst);
+  ProtectionResult result = *SgbGreedy(engine, 4);
+  ProtectionResult cold = *reference::SgbGreedyEagerCold(cold_engine, 4);
+  ASSERT_EQ(cold.protectors.size(), result.protectors.size());
+  for (size_t i = 0; i < cold.protectors.size(); ++i) {
+    EXPECT_EQ(cold.protectors[i], result.protectors[i]) << "pick " << i;
   }
-  EXPECT_EQ(eager.final_similarity, lazy.final_similarity);
-  // Lazy evaluation must not do more work than eager.
-  EXPECT_LE(lazy.gain_evaluations, eager.gain_evaluations);
+  EXPECT_EQ(cold.final_similarity, result.final_similarity);
+  EXPECT_EQ(cold.gain_evaluations, result.gain_evaluations);
 }
 
 TEST(SgbGreedyTest, RestrictedScopeSameResult) {

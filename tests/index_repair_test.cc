@@ -24,7 +24,7 @@
 #include "core/solver.h"
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 namespace tpp::core {
 namespace {
@@ -36,7 +36,7 @@ using graph::GraphDelta;
 using graph::MakeEdgeKey;
 using graph::NodeId;
 using motif::IncidenceIndex;
-using motif::LegacyIncidenceIndex;
+using reference::LegacyIncidenceIndex;
 using motif::MotifKind;
 
 // Builds a random normalized delta against `g`: removes up to

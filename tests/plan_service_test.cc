@@ -145,10 +145,10 @@ TEST(PlanServiceTest, ParsesRequestFile) {
       "# tpp batch request file v1\n"
       "\n"
       "name=alpha algorithm=sgb motif=Rectangle sample=20 seed=5 "
-      "budget=10 lazy=1 celf=classic\n"
+      "budget=10 lazy=1\n"
       "links=3-14;15-92 algorithm=ct-tbd budget=full scope=all "
-      "rounds=heap\n"
-      "algorithm=katz\n";
+      "released=true\n"
+      "algorithm=katz lazy=false released=0\n";
   Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
   ASSERT_TRUE(requests.ok()) << requests.status().ToString();
   ASSERT_EQ(requests->size(), 3u);
@@ -161,8 +161,6 @@ TEST(PlanServiceTest, ParsesRequestFile) {
   EXPECT_EQ(alpha.seed, 5u);
   EXPECT_EQ(alpha.spec.budget, 10u);
   EXPECT_TRUE(alpha.spec.lazy);
-  EXPECT_EQ(alpha.spec.celf, core::CelfMode::kClassic);
-  EXPECT_EQ(alpha.spec.rounds, core::RoundMode::kIncremental);
 
   const PlanRequest& second = (*requests)[1];
   EXPECT_EQ(second.name, "r1");  // defaulted from line index
@@ -171,27 +169,41 @@ TEST(PlanServiceTest, ParsesRequestFile) {
   EXPECT_EQ(second.targets[1], Edge(15, 92));
   EXPECT_EQ(second.spec.budget, SolverSpec::kFullProtection);
   EXPECT_EQ(second.spec.scope, core::CandidateScope::kAllEdges);
-  EXPECT_EQ(second.spec.rounds, core::RoundMode::kHeap);
+  EXPECT_TRUE(second.want_released);
 
   EXPECT_EQ((*requests)[2].spec.algorithm, "katz");
+  EXPECT_FALSE((*requests)[2].spec.lazy);
+  EXPECT_FALSE((*requests)[2].want_released);
 }
 
 TEST(PlanServiceTest, ParseErrorsNameTheLine) {
   EXPECT_FALSE(ParsePlanRequests("algorithm=not-a-solver\n").ok());
-  Result<std::vector<PlanRequest>> bad_key =
-      ParsePlanRequests("# ok\nbudget=3 frobnicate=1\n");
-  ASSERT_FALSE(bad_key.ok());
-  EXPECT_NE(bad_key.status().ToString().find("line 2"),
-            std::string::npos);
-  EXPECT_FALSE(ParsePlanRequests("links=1-2;3\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("scope=sideways\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("motif=Heptagon\n").ok());
+  // Unknown keys name the line, including the removed round-strategy
+  // keys rounds= and celf=.
+  for (const char* token : {"frobnicate=1", "rounds=heap", "celf=classic"}) {
+    Result<std::vector<PlanRequest>> bad_key =
+        ParsePlanRequests(std::string("# ok\nbudget=3 ") + token + "\n");
+    ASSERT_FALSE(bad_key.ok()) << token;
+    const std::string message = bad_key.status().ToString();
+    EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+    EXPECT_NE(message.find("unknown key"), std::string::npos) << message;
+  }
   // Names become plan-file paths; separators must not escape --plan-dir.
   EXPECT_FALSE(ParsePlanRequests("name=../evil algorithm=sgb\n").ok());
   EXPECT_FALSE(ParsePlanRequests("name=a/b algorithm=sgb\n").ok());
   EXPECT_FALSE(ParsePlanRequests("name=..\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("rounds=sideways\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("celf=eager\n").ok());
+  // Every value error carries the line number, including booleans that
+  // are not exactly 0|1|false|true and negative sample counts.
+  for (const char* token :
+       {"motif=Heptagon", "sample=abc", "sample=-3", "seed=x", "budget=ten",
+        "deadline_ms=soon", "lazy=yes", "lazy=2", "released=yes",
+        "released=", "scope=sideways", "links=1-2;3"}) {
+    Result<std::vector<PlanRequest>> parsed =
+        ParsePlanRequests(std::string("# ok\nalgorithm=sgb ") + token + "\n");
+    ASSERT_FALSE(parsed.ok()) << token;
+    EXPECT_NE(parsed.status().ToString().find("line 2"), std::string::npos)
+        << token << ": " << parsed.status().ToString();
+  }
   // Unsupported flag combinations fail at parse time, not mid-batch.
   EXPECT_FALSE(ParsePlanRequests("algorithm=ct-tbd lazy=1\n").ok());
 }

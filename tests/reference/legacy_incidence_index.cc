@@ -1,14 +1,17 @@
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 #include <algorithm>
 
 #include "common/strings.h"
 
-namespace tpp::motif {
+namespace tpp::reference {
 
 using graph::Edge;
 using graph::EdgeKey;
 using graph::Graph;
+using motif::EnumerateTargetSubgraphs;
+using motif::MotifKind;
+using motif::TargetSubgraph;
 
 Result<LegacyIncidenceIndex> LegacyIncidenceIndex::Build(
     const Graph& g, const std::vector<Edge>& targets, MotifKind kind) {
@@ -114,4 +117,4 @@ std::vector<EdgeKey> LegacyIncidenceIndex::AllParticipatingEdges() const {
   return out;
 }
 
-}  // namespace tpp::motif
+}  // namespace tpp::reference

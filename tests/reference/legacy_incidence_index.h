@@ -3,8 +3,9 @@
 //
 // This is the pre-CSR layout: edge -> vector<instance id> in a hash map,
 // with every gain query walking the posting list and testing per-instance
-// liveness (O(instances incident to e) per query). It is NOT used by any
-// engine; it exists so that
+// liveness (O(instances incident to e) per query). It lives in the
+// reference library (tpp_reference), which no production target links; it
+// exists so that
 //   * the gain-kernel benchmarks (bench/gain_kernels.cc,
 //     bench/micro_kernels.cc) can quantify the CSR speedup against the
 //     historical baseline, and
@@ -12,8 +13,8 @@
 //     against an independently maintained implementation.
 // See motif/incidence_index.h for the production CSR index.
 
-#ifndef TPP_MOTIF_LEGACY_INCIDENCE_INDEX_H_
-#define TPP_MOTIF_LEGACY_INCIDENCE_INDEX_H_
+#ifndef TPP_REFERENCE_LEGACY_INCIDENCE_INDEX_H_
+#define TPP_REFERENCE_LEGACY_INCIDENCE_INDEX_H_
 
 #include <cstdint>
 #include <unordered_map>
@@ -26,22 +27,24 @@
 #include "motif/motif.h"
 #include "motif/target_subgraph.h"
 
-namespace tpp::motif {
+namespace tpp::reference {
 
 /// Map-based reference incidence index; same contract and query surface as
 /// IncidenceIndex (SplitGain is shared), different complexity: every gain
 /// query is O(instances incident to the edge).
 class LegacyIncidenceIndex {
  public:
-  using SplitGain = IncidenceIndex::SplitGain;
+  using SplitGain = motif::IncidenceIndex::SplitGain;
 
   /// Same contract as IncidenceIndex::Build.
   static Result<LegacyIncidenceIndex> Build(
       const graph::Graph& g, const std::vector<graph::Edge>& targets,
-      MotifKind kind);
+      motif::MotifKind kind);
 
   size_t NumTargets() const { return alive_per_target_.size(); }
-  const std::vector<TargetSubgraph>& instances() const { return instances_; }
+  const std::vector<motif::TargetSubgraph>& instances() const {
+    return instances_;
+  }
   bool IsAlive(size_t i) const { return alive_[i] != 0; }
   size_t TotalAlive() const { return total_alive_; }
   size_t AliveForTarget(size_t t) const { return alive_per_target_[t]; }
@@ -58,7 +61,7 @@ class LegacyIncidenceIndex {
  private:
   LegacyIncidenceIndex() = default;
 
-  std::vector<TargetSubgraph> instances_;
+  std::vector<motif::TargetSubgraph> instances_;
   std::vector<uint8_t> alive_;
   std::vector<size_t> alive_per_target_;
   size_t total_alive_ = 0;
@@ -66,6 +69,6 @@ class LegacyIncidenceIndex {
       edge_to_instances_;
 };
 
-}  // namespace tpp::motif
+}  // namespace tpp::reference
 
-#endif  // TPP_MOTIF_LEGACY_INCIDENCE_INDEX_H_
+#endif  // TPP_REFERENCE_LEGACY_INCIDENCE_INDEX_H_

@@ -1,13 +1,14 @@
 // Coverage of the addressable selection heap (core/selection_heap.h) and
 // the greedy paths built on it: heap property fuzz against a sorted
-// reference, the equal-gain tie-break regression (structural determinism
-// across every selection mode), and the differential suite — heap-mode
-// SGB/CT/WT and dirty-aware CELF against the eager cold sweeps over all
-// motifs x both scopes x randomized budgets, on IndexedEngine and the
-// NaiveEngine always-dirty fallback, including gain-evaluation accounting
-// parity.
+// reference, the equal-gain tie-break regression (every production greedy
+// loop and its reference cold sweep, tests/reference/cold_greedy.h), and
+// the differential suite — dirty-aware CELF against the reference cold
+// sweep over all motifs x both scopes x randomized budgets, on
+// IndexedEngine and the NaiveEngine always-dirty fallback, including
+// gain-evaluation accounting parity.
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "core/problem.h"
 #include "core/selection_heap.h"
 #include "graph/generators.h"
+#include "reference/cold_greedy.h"
 #include "test_util.h"
 
 namespace tpp::core {
@@ -50,9 +52,7 @@ TEST(SelectionHeapTest, FuzzAgainstSortedReference) {
     Rng rng(seed);
     const size_t universe = 64 + rng.UniformIndex(64);
     std::vector<uint64_t> reference(universe, 0);
-    SelectionHeapStats stats;
     SelectionHeap heap;
-    heap.set_stats(&stats);
 
     // Bulk build from a random initial assignment (about half zero).
     heap.BuildBegin(universe);
@@ -112,26 +112,6 @@ TEST(SelectionHeapTest, FuzzAgainstSortedReference) {
       heap.Update(row, 0);
     }
     ASSERT_EQ(ReferenceTop(reference), reference.size());
-    EXPECT_GT(stats.rekeys + stats.inserts + stats.removes, 0u);
-  }
-}
-
-TEST(SelectionHeapTest, PackSplitOrderIsLexicographic) {
-  // The packed integer order must equal the (own, cross) lexicographic
-  // order for every combination, including the 32-bit extremes.
-  const uint32_t vals[] = {0, 1, 2, 1000, 0xfffffffeu, 0xffffffffu};
-  for (uint32_t o1 : vals) {
-    for (uint32_t c1 : vals) {
-      for (uint32_t o2 : vals) {
-        for (uint32_t c2 : vals) {
-          const bool lex_less = o1 != o2 ? o1 < o2 : c1 < c2;
-          EXPECT_EQ(SelectionHeap::PackSplit(o1, c1) <
-                        SelectionHeap::PackSplit(o2, c2),
-                    lex_less)
-              << o1 << "," << c1 << " vs " << o2 << "," << c2;
-        }
-      }
-    }
   }
 }
 
@@ -142,7 +122,8 @@ TEST(SelectionHeapTest, PackSplitOrderIsLexicographic) {
 // each w forms one triangle target subgraph {(0,w), (1,w)}. All 8 released
 // edges start at gain 1; the required picks are (0,2),(0,3),(0,4),(0,5) —
 // smallest edge key first, with each pick zeroing its partner edge. Every
-// selection mode must produce exactly this order.
+// production loop (SGB, CT, WT) and its reference cold sweep must produce
+// exactly this order.
 
 TppInstance StarTieFixture() {
   Graph g(6);
@@ -155,76 +136,6 @@ TppInstance StarTieFixture() {
   inst.targets = {Edge(0, 1)};
   inst.motif = MotifKind::kTriangle;
   return inst;
-}
-
-struct SgbMode {
-  std::string name;
-  GreedyOptions options;
-};
-
-std::vector<SgbMode> AllSgbModes(CandidateScope scope) {
-  std::vector<SgbMode> modes;
-  for (RoundMode rounds :
-       {RoundMode::kColdSweep, RoundMode::kIncremental, RoundMode::kHeap}) {
-    GreedyOptions o;
-    o.scope = scope;
-    o.rounds = rounds;
-    const char* names[] = {"incremental", "cold", "heap"};
-    modes.push_back({names[static_cast<int>(rounds)], o});
-  }
-  for (CelfMode celf : {CelfMode::kDirtyAware, CelfMode::kClassic}) {
-    GreedyOptions o;
-    o.scope = scope;
-    o.lazy = true;
-    o.celf = celf;
-    modes.push_back(
-        {celf == CelfMode::kDirtyAware ? "lazy-dirty" : "lazy-classic", o});
-  }
-  return modes;
-}
-
-TEST(SelectionHeapTest, EqualGainTieBreaksBySmallestEdgeKey) {
-  const TppInstance inst = StarTieFixture();
-  const std::vector<Edge> expected = {Edge(0, 2), Edge(0, 3), Edge(0, 4),
-                                      Edge(0, 5)};
-  for (CandidateScope scope :
-       {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
-    for (const SgbMode& mode : AllSgbModes(scope)) {
-      SCOPED_TRACE(mode.name +
-                   (scope == CandidateScope::kAllEdges ? "/all" : "/subgraph"));
-      for (int engine_kind = 0; engine_kind < 2; ++engine_kind) {
-        IndexedEngine indexed = *IndexedEngine::Create(inst);
-        NaiveEngine naive(inst);
-        Engine& engine =
-            engine_kind == 0 ? static_cast<Engine&>(indexed) : naive;
-        auto result = SgbGreedy(engine, 4, mode.options);
-        ASSERT_TRUE(result.ok());
-        ASSERT_EQ(result->protectors.size(), expected.size());
-        for (size_t i = 0; i < expected.size(); ++i) {
-          EXPECT_EQ(result->protectors[i], expected[i])
-              << "pick " << i << " engine " << engine_kind;
-          EXPECT_EQ(result->picks[i].realized_gain, 1u);
-        }
-        EXPECT_EQ(result->final_similarity, 0u);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Differential suite: heap-backed selection against the eager cold sweep,
-// every motif x both scopes x randomized budgets.
-
-TppInstance SampledInstance(const Graph& g, size_t count, uint64_t seed,
-                            MotifKind kind) {
-  Rng rng(seed);
-  auto targets = *SampleTargets(g, count, rng);
-  return *MakeInstance(g, targets, kind);
-}
-
-Graph TestGraph(uint64_t seed) {
-  Rng rng(seed);
-  return *graph::HolmeKim(180, 4, 0.3, rng);
 }
 
 // Everything the solvers report except wall-clock timestamps.
@@ -243,6 +154,90 @@ void ExpectBitIdentical(const ProtectionResult& a, const ProtectionResult& b,
     EXPECT_EQ(a.picks[i].similarity_after, b.picks[i].similarity_after)
         << "pick " << i;
   }
+}
+
+// One greedy loop on the star fixture with a budget of 4 picks: a
+// production solver (`cold` false) or its reference cold sweep.
+using StarRun = std::function<Result<ProtectionResult>(
+    Engine&, const GreedyOptions&, bool cold)>;
+
+struct StarSolver {
+  std::string name;
+  StarRun run;
+};
+
+std::vector<StarSolver> StarSolvers() {
+  const std::vector<size_t> budgets = {4};  // the fixture's single target
+  return {
+      {"sgb",
+       [](Engine& e, const GreedyOptions& o, bool cold) {
+         return cold ? reference::SgbGreedyEagerCold(e, 4, o)
+                     : SgbGreedy(e, 4, o);
+       }},
+      {"ct",
+       [budgets](Engine& e, const GreedyOptions& o, bool cold) {
+         return cold ? reference::CtGreedyCold(e, budgets, o)
+                     : CtGreedy(e, budgets, o);
+       }},
+      {"wt",
+       [budgets](Engine& e, const GreedyOptions& o, bool cold) {
+         return cold ? reference::WtGreedyCold(e, budgets, o)
+                     : WtGreedy(e, budgets, o);
+       }},
+  };
+}
+
+TEST(SelectionHeapTest, EqualGainTieBreaksBySmallestEdgeKey) {
+  const TppInstance inst = StarTieFixture();
+  const std::vector<Edge> expected = {Edge(0, 2), Edge(0, 3), Edge(0, 4),
+                                      Edge(0, 5)};
+  for (CandidateScope scope :
+       {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
+    GreedyOptions options;
+    options.scope = scope;
+    for (const StarSolver& solver : StarSolvers()) {
+      for (int engine_kind = 0; engine_kind < 2; ++engine_kind) {
+        SCOPED_TRACE(solver.name +
+                     (scope == CandidateScope::kAllEdges ? "/all"
+                                                         : "/subgraph") +
+                     (engine_kind == 0 ? "/indexed" : "/naive"));
+        auto run = [&](bool cold) {
+          IndexedEngine indexed = *IndexedEngine::Create(inst);
+          NaiveEngine naive(inst);
+          Engine& engine =
+              engine_kind == 0 ? static_cast<Engine&>(indexed) : naive;
+          return solver.run(engine, options, cold);
+        };
+        Result<ProtectionResult> result = run(/*cold=*/false);
+        Result<ProtectionResult> cold = run(/*cold=*/true);
+        ASSERT_TRUE(result.ok());
+        ASSERT_TRUE(cold.ok());
+        ASSERT_EQ(result->protectors.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(result->protectors[i], expected[i]) << "pick " << i;
+          EXPECT_EQ(result->picks[i].realized_gain, 1u);
+        }
+        EXPECT_EQ(result->final_similarity, 0u);
+        ExpectBitIdentical(*cold, *result, "production vs reference");
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential suite: heap-backed selection against the reference cold
+// sweep, every motif x both scopes x randomized budgets.
+
+TppInstance SampledInstance(const Graph& g, size_t count, uint64_t seed,
+                            MotifKind kind) {
+  Rng rng(seed);
+  auto targets = *SampleTargets(g, count, rng);
+  return *MakeInstance(g, targets, kind);
+}
+
+Graph TestGraph(uint64_t seed) {
+  Rng rng(seed);
+  return *graph::HolmeKim(180, 4, 0.3, rng);
 }
 
 class SelectionHeapGreedyTest : public ::testing::TestWithParam<MotifKind> {};
@@ -264,13 +259,11 @@ TEST_P(SelectionHeapGreedyTest, DirtyCelfMatchesEagerColdSweep) {
           scope == CandidateScope::kAllEdges ? "/all" : "/subgraph";
       GreedyOptions cold, celf;
       cold.scope = celf.scope = scope;
-      cold.rounds = RoundMode::kColdSweep;
-      celf.lazy = true;
-      celf.celf = CelfMode::kDirtyAware;
 
       IndexedEngine cold_engine = prototype.Clone();
       IndexedEngine celf_engine = prototype.Clone();
-      auto cold_result = SgbGreedy(cold_engine, budget, cold);
+      auto cold_result =
+          reference::SgbGreedyEagerCold(cold_engine, budget, cold);
       auto celf_result = SgbGreedy(celf_engine, budget, celf);
       ASSERT_TRUE(cold_result.ok());
       ASSERT_TRUE(celf_result.ok());
@@ -279,59 +272,13 @@ TEST_P(SelectionHeapGreedyTest, DirtyCelfMatchesEagerColdSweep) {
 
       NaiveEngine naive_cold(inst);
       NaiveEngine naive_celf(inst);
-      auto nc = SgbGreedy(naive_cold, budget, cold);
+      auto nc = reference::SgbGreedyEagerCold(naive_cold, budget, cold);
       auto nl = SgbGreedy(naive_celf, budget, celf);
       ASSERT_TRUE(nc.ok());
       ASSERT_TRUE(nl.ok());
       ExpectBitIdentical(*nc, *nl, "naive" + tag);
       // And across engines: same picks/accounting either way.
       ExpectBitIdentical(*cold_result, *nl, "indexed cold vs naive celf" + tag);
-    }
-  }
-}
-
-// RoundMode::kHeap for the whole eager family (SGB, CT, WT) against the
-// cold sweeps, both scopes, both engines.
-TEST_P(SelectionHeapGreedyTest, HeapModeMatchesColdAllSolversBothScopes) {
-  const MotifKind kind = GetParam();
-  const Graph g = TestGraph(11);
-  const TppInstance inst = SampledInstance(g, 10, 5, kind);
-  const IndexedEngine prototype = *IndexedEngine::Create(inst);
-  for (CandidateScope scope :
-       {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
-    for (const std::string solver : {"sgb", "ct", "wt"}) {
-      const std::string tag =
-          solver + (scope == CandidateScope::kAllEdges ? "/all" : "/subgraph");
-      GreedyOptions cold, heap;
-      cold.scope = heap.scope = scope;
-      cold.rounds = RoundMode::kColdSweep;
-      heap.rounds = RoundMode::kHeap;
-      SelectionHeapStats stats;
-      heap.heap_stats = &stats;
-      auto run = [&](Engine& engine,
-                     const GreedyOptions& options) -> Result<ProtectionResult> {
-        if (solver == "sgb") return SgbGreedy(engine, 25, options);
-        std::vector<size_t> budgets(engine.NumTargets(), 2);
-        if (solver == "ct") return CtGreedy(engine, budgets, options);
-        return WtGreedy(engine, budgets, options);
-      };
-      IndexedEngine cold_engine = prototype.Clone();
-      IndexedEngine heap_engine = prototype.Clone();
-      auto cold_result = run(cold_engine, cold);
-      auto heap_result = run(heap_engine, heap);
-      ASSERT_TRUE(cold_result.ok());
-      ASSERT_TRUE(heap_result.ok());
-      ExpectBitIdentical(*cold_result, *heap_result, "indexed/" + tag);
-      ASSERT_GT(heap_result->picks.size(), 0u);
-      EXPECT_GT(stats.builds, 0u) << tag;
-
-      NaiveEngine naive_cold(inst);
-      NaiveEngine naive_heap(inst);
-      auto nc = run(naive_cold, cold);
-      auto nh = run(naive_heap, heap);
-      ASSERT_TRUE(nc.ok());
-      ASSERT_TRUE(nh.ok());
-      ExpectBitIdentical(*nc, *nh, "naive/" + tag);
     }
   }
 }

@@ -150,6 +150,23 @@ TEST(SolverRegistryTest, ValidateRejectsLazyOnNonSgb) {
   EXPECT_TRUE(ValidateSolverSpec(spec).ok());
 }
 
+// `lazy` stays accepted input (and part of plan-cache keys), but SGB has
+// one selection loop, so both settings must produce the same plan.
+TEST(SolverRegistryTest, LazyFlagLeavesSgbPlanUnchanged) {
+  SolverSpec eager;
+  eager.algorithm = "sgb";
+  eager.budget = 6;
+  SolverSpec lazy = eager;
+  lazy.lazy = true;
+  IndexedEngine eager_engine = FreshEngine();
+  IndexedEngine lazy_engine = FreshEngine();
+  Rng rng(1);
+  ProtectionResult a = *RunSolver(eager, eager_engine, ArenasInstance(), rng);
+  ProtectionResult b = *RunSolver(lazy, lazy_engine, ArenasInstance(), rng);
+  EXPECT_EQ(a.protectors, b.protectors);
+  EXPECT_EQ(a.gain_evaluations, b.gain_evaluations);
+}
+
 TEST(SolverRegistryTest, FullProtectionSentinelReachesZero) {
   SolverSpec spec;  // default budget: kFullProtection
   spec.algorithm = "sgb";
