@@ -5,11 +5,11 @@
 // the serving path — is tracked across PRs.
 //
 // For every motif the bench times:
-//   reference      — IncidenceIndex::BuildSerialReference: serial
-//                    per-target enumeration with materialized
-//                    common-neighbor vectors, hash-map edge-id resolution
-//                    in the CSR fill, per-edge scratch sort for the
-//                    per-target counts.
+//   reference      — reference::SerialIndexBuilder (test-only, in
+//                    tests/reference/): serial per-target enumeration
+//                    with materialized common-neighbor vectors, hash-map
+//                    edge-id resolution in the CSR fill, per-edge scratch
+//                    sort for the per-target counts.
 //   build @ T      — IncidenceIndex::Build at T = 1, 2, 4, 8 threads:
 //                    task-parallel enumeration (hub targets split by
 //                    first-neighbor chunk), marker-based O(1) adjacency
@@ -36,6 +36,7 @@
 #include "core/problem.h"
 #include "graph/datasets.h"
 #include "motif/incidence_index.h"
+#include "reference/serial_index_build.h"
 
 namespace tpp::bench {
 namespace {
@@ -83,13 +84,13 @@ MotifResult RunMotif(MotifKind kind, bool quick, int max_threads) {
       quick ? (kind == MotifKind::kPentagon ? 1 : 3)
             : (kind == MotifKind::kPentagon ? 3 : 10);
 
-  const IncidenceIndex reference = *IncidenceIndex::BuildSerialReference(
+  const IncidenceIndex reference = *reference::SerialIndexBuilder::Build(
       inst.released, inst.targets, inst.motif);
   {
     double total = 0;
     for (size_t r = 0; r < reps; ++r) {
       WallTimer timer;
-      IncidenceIndex idx = *IncidenceIndex::BuildSerialReference(
+      IncidenceIndex idx = *reference::SerialIndexBuilder::Build(
           inst.released, inst.targets, inst.motif);
       total += timer.Millis();
       TPP_CHECK_EQ(idx.TotalAlive(), reference.TotalAlive());

@@ -61,7 +61,6 @@ void InstanceRepository::BuildGroup(Group& group,
         group.engine.emplace(std::move(*adopted));
         return;
       }
-      store_degradations_.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(stderr,
                    "tpp: warm store snapshot rejected at adoption (%s); "
                    "cold-building\n",
@@ -69,8 +68,7 @@ void InstanceRepository::BuildGroup(Group& group,
     } else if (snapshot.status().code() != StatusCode::kNotFound) {
       // Present but invalid (corrupt file, format/fingerprint mismatch)
       // or unreadable after retries: one rung down the degradation
-      // ladder — warn, count, cold-build.
-      store_degradations_.fetch_add(1, std::memory_order_relaxed);
+      // ladder — warn and cold-build (the store counts the reject).
       std::fprintf(stderr,
                    "tpp: warm store snapshot rejected (%s); cold-building\n",
                    snapshot.status().ToString().c_str());
@@ -95,7 +93,6 @@ void InstanceRepository::BuildGroup(Group& group,
     if (saved.ok()) {
       snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      store_write_failures_.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
                    saved.ToString().c_str());
     }
@@ -194,7 +191,6 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
       if (saved.ok()) {
         snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        store_write_failures_.fetch_add(1, std::memory_order_relaxed);
         std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
                      saved.ToString().c_str());
       }

@@ -127,22 +127,6 @@ class InstanceRepository {
     return snapshot_stores_.load(std::memory_order_relaxed);
   }
 
-  /// Snapshot write-backs that failed (after the store's retry policy
-  /// gave up). Every failure is also warned on stderr, but warnings
-  /// cannot be gated on — this counter feeds BatchStats and the batch
-  /// footer so CI can assert on it.
-  size_t NumStoreWriteFailures() const {
-    return store_write_failures_.load(std::memory_order_relaxed);
-  }
-
-  /// Snapshot loads that degraded to a cold build: the file existed but
-  /// failed validation or I/O (kNotFound clean misses excluded). One
-  /// step of the degradation ladder — service continues, warm start is
-  /// lost.
-  size_t NumStoreDegradations() const {
-    return store_degradations_.load(std::memory_order_relaxed);
-  }
-
   /// Advances every group across a committed base-graph edit. The caller
   /// has already applied `delta` to the base graph this repository points
   /// at; `new_fingerprint` is the post-edit graph::Fingerprint (the key
@@ -200,8 +184,6 @@ class InstanceRepository {
   std::atomic<size_t> acquisitions_{0};
   std::atomic<size_t> snapshot_hits_{0};
   std::atomic<size_t> snapshot_stores_{0};
-  std::atomic<size_t> store_write_failures_{0};
-  std::atomic<size_t> store_degradations_{0};
   // Mutated only by ApplyEdit, which runs single-threaded between
   // batches; plain counters suffice.
   size_t edit_repairs_ = 0;

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <fstream>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -22,7 +21,6 @@
 #include "graph/fingerprint.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
-#include "service/store/warm_store.h"
 
 namespace tpp::service {
 
@@ -183,13 +181,14 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     bool failed = false;     // resolution failed; status already recorded
     const CancellationToken* cancel = nullptr;  // effective deadline/cancel
   };
-  std::vector<char> done(n, 0);  // representative slots that are final
+  // Representative slots that are final; written by workers in stage 7.
+  std::vector<std::atomic<char>> done(n);
   std::vector<Unit> units;
   for (size_t i = 0; i < n; ++i) {
     if (rep[i] != i) continue;
     if (options.cache && options.cache->Lookup(keys[i], &responses[i])) {
       responses[i].from_cache = true;
-      done[i] = 1;
+      done[i].store(1, std::memory_order_relaxed);
       ++stats.cache_hits;
       continue;
     }
@@ -229,18 +228,12 @@ std::vector<PlanResponse> PlanService::RunPipeline(
       options.max_workers > 0 ? options.max_workers : GlobalThreadCount();
   InstanceRepository local_repository(&base_);
   // An external repository (options.repository) carries prototype engines
-  // across batches; its counters are cumulative, so stats report the
-  // deltas this run produced.
+  // across batches; its build counter is cumulative, so stats report the
+  // builds this run performed.
   InstanceRepository& repository = options.repository != nullptr
                                        ? *options.repository
                                        : local_repository;
   const size_t builds_before = repository.NumBuilds();
-  const size_t snapshot_hits_before = repository.NumSnapshotHits();
-  const size_t snapshot_stores_before = repository.NumSnapshotStores();
-  // Store health counters are cumulative on the store; report this run's
-  // deltas (retries absorbed, writes lost, degradations) alongside.
-  store::WarmStore::Stats store_before;
-  if (options.store != nullptr) store_before = options.store->stats();
   // A cold group's one-time index build parallelizes over the same pool
   // budget the solve stage gets; nesting inside a pool worker is safe
   // (the building worker drains its own ParallelFor chunks).
@@ -267,17 +260,9 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     unit.group = repository.Intern(response.targets, request.motif);
   }
 
-  // -- Stages 5-7: build-once, solve, serialize, cache-fill. Units are
-  // claimed dynamically by up to max_workers workers. Mirroring
-  // ThreadPool::ParallelFor, the calling thread always participates, so
-  // progress never depends on a free pool thread; between its own units
-  // (and while waiting at the end) it also delivers the completed
-  // in-order prefix to the sink.
-  std::mutex mu;
-  std::condition_variable cv;
-  int helpers_left = 0;  // guarded by mu
-  std::atomic<size_t> next{0};
-
+  // -- Stages 5-7: build-once, solve, serialize, cache-fill, one unit
+  // per ParallelFor index. The calling thread is always one of the
+  // workers; between its own units it also runs stage 8 below.
   auto run_unit = [&](Unit& unit) {
     WallTimer timer;
     const PlanRequest& request = requests[unit.index];
@@ -303,91 +288,36 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     // deterministically, so a cached failure equals a recomputed one.
     if (options.cache) options.cache->Insert(keys[unit.index], response);
   };
-  // -- Stage 8 (interleaved): deliver in input order. `delivered` is only
-  // touched by the calling thread; a done flag observed under the mutex
-  // happens-after the worker's writes to that response slot, and final
-  // slots are never written again, so the copy/sink below runs unlocked.
+  // -- Stage 8: deliver in input order, on the calling thread only. A
+  // done flag read with acquire happens-after the worker's writes to that
+  // response slot, and final slots are never written again.
   size_t delivered = 0;
   auto deliver_ready = [&] {
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (delivered >= n || !done[rep[delivered]]) return;
-      }
-      size_t i = delivered++;
+    while (delivered < n &&
+           done[rep[delivered]].load(std::memory_order_acquire)) {
+      const size_t i = delivered++;
       if (rep[i] != i) responses[i] = responses[rep[i]];
       if (sink) (*sink)(i, responses[i]);
     }
   };
-  // `deliver` is true only on the calling thread: it flushes the ready
-  // prefix between its own units, so a 1-worker run streams
-  // solve-one-deliver-one and a parallel run streams at request
-  // granularity.
-  auto claim_units = [&](bool deliver) {
-    for (;;) {
-      if (deliver) deliver_ready();
-      size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= units.size()) break;
-      run_unit(units[k]);
-      {
-        // Notify under the lock: the caller destroys cv right after its
-        // exit predicate holds, so a notify outside the critical section
-        // could touch a dead condition variable.
-        std::lock_guard<std::mutex> lock(mu);
-        done[units[k].index] = 1;
-        cv.notify_all();
-      }
-    }
-  };
-
-  int helpers = 0;
-  if (units.size() > 1 && max_workers > 1) {
-    helpers = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(max_workers - 1), units.size() - 1));
-  }
-  if (helpers > 0) {
-    helpers_left = helpers;
-    ThreadPool& pool = GlobalThreadPool();
-    pool.EnsureThreads(helpers);
-    for (int h = 0; h < helpers; ++h) {
-      // Helpers capture the local pipeline state by reference; the final
-      // wait below does not return until every helper task has finished,
-      // so nothing of this frame escapes the call.
-      pool.Run([&] {
-        claim_units(/*deliver=*/false);
-        // Notify under the lock (see claim_units): after the caller sees
-        // helpers_left == 0 this frame — cv included — may be gone.
-        std::lock_guard<std::mutex> lock(mu);
-        --helpers_left;
-        cv.notify_all();
+  const std::thread::id caller = std::this_thread::get_id();
+  GlobalThreadPool().ParallelFor(
+      units.size(), max_workers, /*grain=*/1, [&](size_t begin, size_t end) {
+        const bool on_caller = std::this_thread::get_id() == caller;
+        for (size_t k = begin; k < end; ++k) {
+          // Flushing before each unit makes a 1-worker run
+          // solve-one-deliver-one.
+          if (on_caller) deliver_ready();
+          run_unit(units[k]);
+          done[units[k].index].store(1, std::memory_order_release);
+        }
       });
-    }
-  }
-
-  claim_units(/*deliver=*/true);  // the caller is always worker 0
-  for (;;) {
-    deliver_ready();
-    std::unique_lock<std::mutex> lock(mu);
-    if (delivered == n && helpers_left == 0) break;
-    cv.wait(lock, [&] {
-      return helpers_left == 0 ||
-             (delivered < n && done[rep[delivered]]);
-    });
-  }
+  // After the join: whatever helpers finished after the caller's last
+  // unit, and the dedup followers behind them.
+  deliver_ready();
 
   stats.instance_groups = repository.NumGroups();
   stats.instance_builds = repository.NumBuilds() - builds_before;
-  stats.snapshot_hits = repository.NumSnapshotHits() - snapshot_hits_before;
-  stats.snapshot_stores =
-      repository.NumSnapshotStores() - snapshot_stores_before;
-  if (options.store != nullptr) {
-    store::WarmStore::Stats store_now = options.store->stats();
-    stats.store_retries = store_now.io_retries - store_before.io_retries;
-    stats.store_write_failures =
-        store_now.write_failures - store_before.write_failures;
-    stats.store_degradations =
-        store_now.degradations() - store_before.degradations();
-  }
   for (const PlanResponse& response : responses) {
     if (response.status.code() == StatusCode::kDeadlineExceeded) {
       ++stats.deadline_exceeded;
@@ -624,31 +554,9 @@ Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
   return request;
 }
 
-Result<std::vector<PlanRequest>> ParsePlanRequests(std::istream& stream) {
-  std::vector<PlanRequest> requests;
-  size_t line_number = 0;
-  std::string line;
-  while (std::getline(stream, line)) {
-    ++line_number;
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped.front() == '#') continue;
-    TPP_ASSIGN_OR_RETURN(
-        PlanRequest request,
-        ParsePlanRequestLine(stripped, line_number, requests.size()));
-    requests.push_back(std::move(request));
-  }
-  return requests;
-}
-
-Result<std::vector<PlanRequest>> ParsePlanRequests(const std::string& text) {
-  std::istringstream stream(text);
-  return ParsePlanRequests(stream);
-}
-
-Result<std::vector<PlanRequest>> LoadPlanRequests(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return Status::IoError("cannot open " + path);
-  return ParsePlanRequests(f);
+bool IsEditDirective(std::string_view text) {
+  return text == "edit" || text.starts_with("edit ") ||
+         text.starts_with("edit\t");
 }
 
 Result<graph::GraphDelta> ParseEditLine(std::string_view text, size_t line) {
@@ -732,8 +640,7 @@ Result<std::vector<PlanScriptStep>> ParsePlanScript(std::istream& stream) {
     ++line_number;
     std::string_view stripped = StripWhitespace(line);
     if (stripped.empty() || stripped.front() == '#') continue;
-    if (stripped == "edit" || stripped.rfind("edit ", 0) == 0 ||
-        stripped.rfind("edit\t", 0) == 0) {
+    if (IsEditDirective(stripped)) {
       TPP_ASSIGN_OR_RETURN(current.edit, ParseEditLine(stripped, line_number));
       steps.push_back(std::move(current));
       current = PlanScriptStep{};

@@ -113,9 +113,11 @@ struct PlanResponse {
   bool from_cache = false;    ///< served by a PlanCache hit
 };
 
-/// Counters one pipeline run fills when BatchOptions::stats is set. Every
-/// request is accounted exactly once among cache_hits, dedup_shared, and
-/// solved.
+/// Counters one pipeline run fills when BatchOptions::stats is set: only
+/// what the pipeline's own stages decide. Every request is accounted
+/// exactly once among cache_hits, dedup_shared, and solved. Store and
+/// snapshot counters have one owner each: WarmStore::stats() and the
+/// InstanceRepository's cumulative Num* counters.
 struct BatchStats {
   size_t requests = 0;        ///< batch size
   size_t cache_hits = 0;      ///< served straight from the PlanCache
@@ -123,23 +125,10 @@ struct BatchStats {
   size_t solved = 0;          ///< executed by the solve stage (incl. failures)
   size_t instance_groups = 0; ///< distinct (targets, motif) groups solved
   size_t instance_builds = 0; ///< TppInstance + index builds performed
-  size_t snapshot_hits = 0;   ///< builds satisfied by a warm-store snapshot
-  size_t snapshot_stores = 0; ///< cold builds written back to the store
   /// Requests whose response is kDeadlineExceeded (their own deadline_ms
   /// or the batch deadline fired). Dedup followers of an expired
   /// representative count too — they carry the same response.
   size_t deadline_exceeded = 0;
-  /// Transient store I/O errors this run absorbed via the retry policy
-  /// (store attached only; see RetryPolicy in store/retry_policy.h).
-  size_t store_retries = 0;
-  /// Store writes (snapshot save, plan append, segment seal) that failed
-  /// even after retries. Requests still succeed — the write degrades to
-  /// "not persisted".
-  size_t store_write_failures = 0;
-  /// Every store shortfall this run: write failures + reads degraded to
-  /// cold builds/solves + rejected snapshots. Zero in a healthy run; the
-  /// batch footer prints it and CI gates on it.
-  size_t store_degradations = 0;
 };
 
 /// Knobs of one RunBatch pipeline execution.
@@ -194,9 +183,12 @@ struct EditSummary {
 };
 
 /// Streaming delivery callback: invoked once per request, in input order,
-/// on the calling thread, as the completed prefix of the batch grows —
-/// response i is delivered as soon as requests 0..i have all finished, so
-/// long batches can be tailed without waiting for the slowest request.
+/// on the calling thread. The calling thread solves units itself and,
+/// before each of its own units, delivers the completed prefix of the
+/// batch, so long batches can be tailed without waiting for the slowest
+/// request; with max_workers == 1 that is solve-one-deliver-one. Once the
+/// caller runs out of units, the prefix still held by helper workers is
+/// delivered together when the last of them finishes.
 using ResponseSink =
     std::function<void(size_t index, const PlanResponse& response)>;
 
@@ -234,10 +226,8 @@ class PlanService {
                                      const BatchOptions& options) const;
 
   /// Streaming pipeline execution: delivers each response to `sink` (see
-  /// ResponseSink for the ordering contract) instead of collecting them.
-  /// The calling thread participates in solving, so delivery granularity
-  /// is one request; with max_workers == 1 this is exact
-  /// solve-one-deliver-one streaming.
+  /// ResponseSink for the ordering and granularity contract) instead of
+  /// collecting them.
   void RunBatch(std::span<const PlanRequest> requests,
                 const BatchOptions& options, const ResponseSink& sink) const;
 
@@ -289,22 +279,14 @@ Result<std::vector<graph::Edge>> ParseLinkList(std::string_view value);
 /// Parses one request line (the format above, already stripped of
 /// comments and surrounding whitespace). `line` is the 1-based line
 /// number used in error messages; `index` names the request "r<index>"
-/// when the line has no name= token. The building block of the stream
-/// overload below, exposed for feeds that arrive a line at a time.
+/// when the line has no name= token. The building block of
+/// ParsePlanScript, exposed for feeds that arrive a line at a time.
 Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
                                          size_t index);
 
-/// Parses a request stream line by line (format above; see
-/// docs/SERVICE.md) — each line is read, validated, and appended before
-/// the next is pulled from the stream, so arbitrarily long files never
-/// need a second in-memory copy. Errors name the offending line.
-Result<std::vector<PlanRequest>> ParsePlanRequests(std::istream& stream);
-
-/// Parses an in-memory request file.
-Result<std::vector<PlanRequest>> ParsePlanRequests(const std::string& text);
-
-/// Loads and parses a request file from disk (line by line).
-Result<std::vector<PlanRequest>> LoadPlanRequests(const std::string& path);
+/// True iff a stripped script line is an `edit` directive (the word
+/// `edit` alone or followed by whitespace) rather than a request line.
+bool IsEditDirective(std::string_view text);
 
 /// Parses one `edit` directive line of a batch script:
 ///
@@ -324,14 +306,17 @@ struct PlanScriptStep {
   std::optional<graph::GraphDelta> edit;
 };
 
-/// Parses a batch SCRIPT: the plain request-file format plus `edit`
-/// directive lines (see ParseEditLine) that split the file into
-/// sequential steps. Each step's requests run as one pipeline batch
-/// against the then-current base graph; its edit (if any) commits through
-/// PlanService::ApplyEdit before the next step runs. A file with no edit
-/// lines parses as a single step — the format is a strict superset of the
-/// request-file format. Request indices ("r<N>" default names) number
-/// across the whole script.
+/// Parses a batch SCRIPT line by line (see docs/SERVICE.md): the plain
+/// request-file format plus `edit` directive lines (see ParseEditLine)
+/// that split the file into sequential steps. Each line is read,
+/// validated, and appended before the next is pulled from the stream, and
+/// errors name the offending line. Each step's requests run as one
+/// pipeline batch against the then-current base graph; its edit (if any)
+/// commits through PlanService::ApplyEdit before the next step runs. A
+/// file with no edit lines parses as a single step — the format is a
+/// strict superset of the request-file format, so this is the only
+/// reader of both. Request indices ("r<N>" default names) number across
+/// the whole script.
 Result<std::vector<PlanScriptStep>> ParsePlanScript(std::istream& stream);
 
 /// Parses an in-memory batch script.

@@ -50,9 +50,9 @@ constexpr const char* kHeavyRequest =
     "algorithm=sgb sample=1500 seed=3 budget=300 motif=Rectangle";
 
 std::vector<PlanRequest> Parse(const std::string& text) {
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  EXPECT_TRUE(requests.ok()) << requests.status().ToString();
-  return *requests;
+  Result<std::vector<PlanScriptStep>> steps = ParsePlanScript(text);
+  EXPECT_TRUE(steps.ok()) << steps.status().ToString();
+  return (*steps)[0].requests;
 }
 
 void ExpectSameResponse(const PlanResponse& got, const PlanResponse& want,

@@ -9,8 +9,8 @@
 
 #include "common/rng.h"
 #include "graph/generators.h"
-#include "motif/brute_force.h"
 #include "motif/enumerate.h"
+#include "reference/brute_force.h"
 
 namespace tpp::motif {
 namespace {
@@ -51,8 +51,8 @@ TEST_P(MotifDifferentialTest, EnumerateMatchesBruteForce) {
   for (size_t i = 0; i < targets.size(); ++i) {
     auto fast = EnumerateTargetSubgraphs(g, targets[i], kind,
                                          static_cast<int32_t>(i));
-    auto slow = BruteForceTargetSubgraphs(g, targets[i], kind,
-                                          static_cast<int32_t>(i));
+    auto slow = reference::BruteForceTargetSubgraphs(
+        g, targets[i], kind, static_cast<int32_t>(i));
     EXPECT_EQ(Canon(fast), Canon(slow))
         << "motif=" << MotifName(kind) << " target=" << i;
     EXPECT_EQ(CountTargetSubgraphs(g, targets[i], kind), slow.size());

@@ -43,9 +43,9 @@ std::vector<PlanRequest> PipelineBatch() {
       "name=r6 algorithm=rdt sample=8 seed=12 budget=4 motif=Rectangle\n"
       "name=r7 algorithm=sgb sample=999999 seed=14 budget=2\n"
       "name=r8 algorithm=full sample=4 seed=15\n";
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  EXPECT_TRUE(requests.ok()) << requests.status().ToString();
-  return *requests;
+  Result<std::vector<PlanScriptStep>> steps = ParsePlanScript(text);
+  EXPECT_TRUE(steps.ok()) << steps.status().ToString();
+  return (*steps)[0].requests;
 }
 
 void ExpectSameResponse(const PlanResponse& got, const PlanResponse& want,
@@ -79,7 +79,9 @@ TEST(PlanPipelineTest, EndToEndBitIdenticalToColdSequentialLoop) {
   }
 
   PlanCache cache(64);
-  for (int workers : {1, 4}) {
+  // 8 workers outnumber the batch's solve units, so the caller runs out
+  // of units while helpers still hold undelivered ones.
+  for (int workers : {1, 4, 8}) {
     // Two passes per worker count: the first fills the cache, the second
     // runs warm. Both must match the cold reference.
     for (int pass = 0; pass < 2; ++pass) {

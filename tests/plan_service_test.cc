@@ -149,11 +149,13 @@ TEST(PlanServiceTest, ParsesRequestFile) {
       "links=3-14;15-92 algorithm=ct-tbd budget=full scope=all "
       "released=true\n"
       "algorithm=katz lazy=false released=0\n";
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  ASSERT_TRUE(requests.ok()) << requests.status().ToString();
-  ASSERT_EQ(requests->size(), 3u);
+  Result<std::vector<PlanScriptStep>> steps = ParsePlanScript(text);
+  ASSERT_TRUE(steps.ok()) << steps.status().ToString();
+  ASSERT_EQ(steps->size(), 1u);
+  const std::vector<PlanRequest>& requests = (*steps)[0].requests;
+  ASSERT_EQ(requests.size(), 3u);
 
-  const PlanRequest& alpha = (*requests)[0];
+  const PlanRequest& alpha = requests[0];
   EXPECT_EQ(alpha.name, "alpha");
   EXPECT_EQ(alpha.spec.algorithm, "sgb");
   EXPECT_EQ(alpha.motif, motif::MotifKind::kRectangle);
@@ -162,7 +164,7 @@ TEST(PlanServiceTest, ParsesRequestFile) {
   EXPECT_EQ(alpha.spec.budget, 10u);
   EXPECT_TRUE(alpha.spec.lazy);
 
-  const PlanRequest& second = (*requests)[1];
+  const PlanRequest& second = requests[1];
   EXPECT_EQ(second.name, "r1");  // defaulted from line index
   ASSERT_EQ(second.targets.size(), 2u);
   EXPECT_EQ(second.targets[0], Edge(3, 14));
@@ -171,41 +173,41 @@ TEST(PlanServiceTest, ParsesRequestFile) {
   EXPECT_EQ(second.spec.scope, core::CandidateScope::kAllEdges);
   EXPECT_TRUE(second.want_released);
 
-  EXPECT_EQ((*requests)[2].spec.algorithm, "katz");
-  EXPECT_FALSE((*requests)[2].spec.lazy);
-  EXPECT_FALSE((*requests)[2].want_released);
+  EXPECT_EQ(requests[2].spec.algorithm, "katz");
+  EXPECT_FALSE(requests[2].spec.lazy);
+  EXPECT_FALSE(requests[2].want_released);
 }
 
 TEST(PlanServiceTest, ParseErrorsNameTheLine) {
-  EXPECT_FALSE(ParsePlanRequests("algorithm=not-a-solver\n").ok());
+  EXPECT_FALSE(ParsePlanScript("algorithm=not-a-solver\n").ok());
   // Unknown keys name the line, including the removed round-strategy
   // keys rounds= and celf=.
   for (const char* token : {"frobnicate=1", "rounds=heap", "celf=classic"}) {
-    Result<std::vector<PlanRequest>> bad_key =
-        ParsePlanRequests(std::string("# ok\nbudget=3 ") + token + "\n");
+    Result<std::vector<PlanScriptStep>> bad_key =
+        ParsePlanScript(std::string("# ok\nbudget=3 ") + token + "\n");
     ASSERT_FALSE(bad_key.ok()) << token;
     const std::string message = bad_key.status().ToString();
     EXPECT_NE(message.find("line 2"), std::string::npos) << message;
     EXPECT_NE(message.find("unknown key"), std::string::npos) << message;
   }
   // Names become plan-file paths; separators must not escape --plan-dir.
-  EXPECT_FALSE(ParsePlanRequests("name=../evil algorithm=sgb\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("name=a/b algorithm=sgb\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("name=..\n").ok());
+  EXPECT_FALSE(ParsePlanScript("name=../evil algorithm=sgb\n").ok());
+  EXPECT_FALSE(ParsePlanScript("name=a/b algorithm=sgb\n").ok());
+  EXPECT_FALSE(ParsePlanScript("name=..\n").ok());
   // Every value error carries the line number, including booleans that
   // are not exactly 0|1|false|true and negative sample counts.
   for (const char* token :
        {"motif=Heptagon", "sample=abc", "sample=-3", "seed=x", "budget=ten",
         "deadline_ms=soon", "lazy=yes", "lazy=2", "released=yes",
         "released=", "scope=sideways", "links=1-2;3"}) {
-    Result<std::vector<PlanRequest>> parsed =
-        ParsePlanRequests(std::string("# ok\nalgorithm=sgb ") + token + "\n");
+    Result<std::vector<PlanScriptStep>> parsed =
+        ParsePlanScript(std::string("# ok\nalgorithm=sgb ") + token + "\n");
     ASSERT_FALSE(parsed.ok()) << token;
     EXPECT_NE(parsed.status().ToString().find("line 2"), std::string::npos)
         << token << ": " << parsed.status().ToString();
   }
   // Unsupported flag combinations fail at parse time, not mid-batch.
-  EXPECT_FALSE(ParsePlanRequests("algorithm=ct-tbd lazy=1\n").ok());
+  EXPECT_FALSE(ParsePlanScript("algorithm=ct-tbd lazy=1\n").ok());
 }
 
 TEST(PlanServiceTest, ParseLinkListRoundTrip) {
@@ -237,22 +239,23 @@ TEST(PlanServiceTest, ParseLinkListRejectsMalformedAndDegenerateLinks) {
 TEST(PlanServiceTest, ParseRequestLineEdgeCases) {
   // Duplicate/degenerate links= values fail at parse time, naming the
   // line.
-  Result<std::vector<PlanRequest>> dup =
-      ParsePlanRequests("# header\nalgorithm=sgb links=1-2;2-1\n");
+  Result<std::vector<PlanScriptStep>> dup =
+      ParsePlanScript("# header\nalgorithm=sgb links=1-2;2-1\n");
   ASSERT_FALSE(dup.ok());
   EXPECT_NE(dup.status().ToString().find("line 2"), std::string::npos);
-  EXPECT_FALSE(ParsePlanRequests("links=7-7\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("links=1-99999999999\n").ok());
+  EXPECT_FALSE(ParsePlanScript("links=7-7\n").ok());
+  EXPECT_FALSE(ParsePlanScript("links=1-99999999999\n").ok());
 
   // released= toggles the want_released payload flag (off by default).
-  Result<std::vector<PlanRequest>> parsed = ParsePlanRequests(
+  Result<std::vector<PlanScriptStep>> parsed = ParsePlanScript(
       "algorithm=sgb sample=5\n"
       "algorithm=sgb sample=5 released=1\n"
       "algorithm=sgb sample=5 released=0\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_FALSE((*parsed)[0].want_released);
-  EXPECT_TRUE((*parsed)[1].want_released);
-  EXPECT_FALSE((*parsed)[2].want_released);
+  const std::vector<PlanRequest>& released = (*parsed)[0].requests;
+  EXPECT_FALSE(released[0].want_released);
+  EXPECT_TRUE(released[1].want_released);
+  EXPECT_FALSE(released[2].want_released);
 }
 
 TEST(PlanServiceTest, OutOfRangeNodeIdsFailPerRequestNotPerBatch) {

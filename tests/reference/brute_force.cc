@@ -1,11 +1,13 @@
-#include "motif/brute_force.h"
+#include "reference/brute_force.h"
 
-namespace tpp::motif {
+namespace tpp::reference {
 
 using graph::Edge;
 using graph::Graph;
 using graph::MakeEdgeKey;
 using graph::NodeId;
+using motif::MotifKind;
+using motif::TargetSubgraph;
 
 std::vector<TargetSubgraph> BruteForceTargetSubgraphs(const Graph& g,
                                                       Edge target,
@@ -88,8 +90,4 @@ std::vector<TargetSubgraph> BruteForceTargetSubgraphs(const Graph& g,
   return out;
 }
 
-size_t BruteForceCount(const Graph& g, Edge target, MotifKind kind) {
-  return BruteForceTargetSubgraphs(g, target, kind).size();
-}
-
-}  // namespace tpp::motif
+}  // namespace tpp::reference

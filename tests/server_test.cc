@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/fault_injection.h"
@@ -574,16 +576,25 @@ TEST(PlanServer, TornNetWriteKillsSessionWithoutCrashing) {
 // ---------------------------------------------------------------------
 // Unix-domain socket: concurrent clients, fairness, restart identity.
 
+// The tests wait for the socket file, which the server's bind creates
+// before its listen: a connect in that window is refused, so it is
+// retried (for at most ~5 s).
 int ConnectUnix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  TPP_CHECK(fd >= 0);
   sockaddr_un addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size());
-  TPP_CHECK(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) == 0);
-  return fd;
+  for (int attempt = 0;; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    TPP_CHECK(fd >= 0);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+        0) {
+      return fd;
+    }
+    TPP_CHECK(errno == ECONNREFUSED && attempt < 5000);
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 std::vector<std::string> ReadLinesFd(int fd, size_t n) {
@@ -803,6 +814,21 @@ TEST(PlanServer, SoakConcurrentClientsWithDisconnects) {
     });
   }
   for (std::thread& t : clients) t.join();
+  // A dead client returns as soon as it closes, possibly before the IO
+  // thread has accepted it or read its lines, and a drain stops both.
+  // Drain once every sent line and torn tail is accounted for, or after
+  // 10 s — a server that never reads them still fails the checks below.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const ServerStats seen = server.snapshot_stats();
+    if ((seen.admitted == static_cast<uint64_t>(kClients * kPerClient) &&
+         seen.torn_frames == 2) ||
+        std::chrono::steady_clock::now() > give_up) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   server.RequestDrain();
   serve.join();
   ::unlink(path.c_str());

@@ -799,23 +799,22 @@ TEST(FaultToleranceServiceTest, TotalStoreFailureDegradesToBaseline) {
       "name=a algorithm=sgb sample=8 seed=5 budget=4\n"
       "name=b algorithm=rdt sample=6 seed=6 budget=3 motif=Rectangle\n"
       "name=c algorithm=wt-dbd sample=5 seed=7 budget=4\n";
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  ASSERT_TRUE(requests.ok());
+  Result<std::vector<PlanScriptStep>> steps = ParsePlanScript(text);
+  ASSERT_TRUE(steps.ok());
+  const std::vector<PlanRequest>& requests = (*steps)[0].requests;
   PlanService plan_service(ArenasBase());
   const std::vector<PlanResponse> reference =
-      plan_service.RunBatch(*requests, BatchOptions{});
+      plan_service.RunBatch(requests, BatchOptions{});
 
   ASSERT_TRUE(fault::FaultInjector::Global().Arm("*:p=1:permanent", 1).ok());
   std::unique_ptr<WarmStore> store = OpenStore(TempStoreDir("ft_total"));
   PlanCache cache(16);
   cache.set_backing_store(store.get());
-  BatchStats stats;
   BatchOptions options;
   options.cache = &cache;
   options.store = store.get();
-  options.stats = &stats;
   const std::vector<PlanResponse> degraded =
-      plan_service.RunBatch(*requests, options);
+      plan_service.RunBatch(requests, options);
   fault::FaultInjector::Global().Disarm();
 
   ASSERT_EQ(degraded.size(), reference.size());
@@ -829,8 +828,7 @@ TEST(FaultToleranceServiceTest, TotalStoreFailureDegradesToBaseline) {
   }
   // The shortfall is visible, not silent.
   EXPECT_GT(store->stats().write_failures, 0u);
-  EXPECT_GT(stats.store_write_failures, 0u);
-  EXPECT_GT(stats.store_degradations, 0u);
+  EXPECT_GT(store->stats().degradations(), 0u);
   EXPECT_GT(cache.stats().backing_write_failures, 0u);
 }
 
@@ -842,11 +840,12 @@ TEST(FaultToleranceServiceTest, TransientFaultProfileIsInvisible) {
       "name=a algorithm=sgb sample=8 seed=5 budget=4\n"
       "name=b algorithm=rdt sample=6 seed=6 budget=3 motif=Rectangle\n"
       "name=c algorithm=wt-dbd sample=5 seed=7 budget=4\n";
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  ASSERT_TRUE(requests.ok());
+  Result<std::vector<PlanScriptStep>> steps = ParsePlanScript(text);
+  ASSERT_TRUE(steps.ok());
+  const std::vector<PlanRequest>& requests = (*steps)[0].requests;
   PlanService plan_service(ArenasBase());
   const std::vector<PlanResponse> reference =
-      plan_service.RunBatch(*requests, BatchOptions{});
+      plan_service.RunBatch(requests, BatchOptions{});
 
   ASSERT_TRUE(fault::FaultInjector::Global()
                   .Arm("*:p=0.05:transient", 20260809)
@@ -857,21 +856,18 @@ TEST(FaultToleranceServiceTest, TransientFaultProfileIsInvisible) {
     std::unique_ptr<WarmStore> store = OpenStore(dir);
     PlanCache cache(16);
     cache.set_backing_store(store.get());
-    BatchStats stats;
     BatchOptions options;
     options.max_workers = 1;  // keep the injected call sequence stable
     options.cache = &cache;
     options.store = store.get();
-    options.stats = &stats;
     const std::vector<PlanResponse> run =
-        plan_service.RunBatch(*requests, options);
+        plan_service.RunBatch(requests, options);
     ASSERT_EQ(run.size(), reference.size());
     for (size_t i = 0; i < reference.size(); ++i) {
       ASSERT_TRUE(run[i].status.ok()) << run[i].status.ToString();
       EXPECT_EQ(run[i].plan_text, reference[i].plan_text);
     }
     EXPECT_EQ(store->stats().degradations(), 0u);
-    EXPECT_EQ(stats.store_degradations, 0u);
     EXPECT_EQ(cache.stats().backing_write_failures, 0u);
   }
   fault::FaultInjector::Global().Disarm();

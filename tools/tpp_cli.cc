@@ -38,7 +38,7 @@
 //       stalling the rest of the batch. When any request fails, the
 //       batch exits non-zero and prints a per-status-code failure
 //       breakdown footer (docs/ROBUSTNESS.md).
-//       Both protect and batch take --store=DIR [--store-cap=BYTES]
+//       protect, batch and serve take --store=DIR [--store-cap=BYTES]
 //       [--cache-failures]: a disk-backed warm-start store
 //       (service/store/warm_store.h, docs/STORAGE.md) that persists built
 //       IncidenceIndex snapshots and solved plans across process runs.
@@ -151,44 +151,77 @@ Result<Graph> LoadGraphFlag(const ParsedArgs& args) {
   return graph::LoadEdgeList(path);
 }
 
-// Opens the warm-start store named by --store/--store-cap; OK-with-nullptr
-// when --store is absent. An unopenable store (directory uncreatable,
-// catastrophic recovery failure) is the BOTTOM rung of the degradation
-// ladder: the run warns and continues in-memory only — the warm start is
-// an optimization, never a prerequisite. Flag errors still fail.
-Result<std::unique_ptr<service::store::WarmStore>> OpenStoreFromFlags(
-    const ParsedArgs& args) {
+// The serving state `protect`, `batch` and `serve` share, held for the
+// whole command so every footer counter is a whole-run total read from
+// its owner.
+struct ServingState {
+  std::unique_ptr<service::store::WarmStore> store;  // null without --store
+  std::unique_ptr<service::PlanCache> cache;  // null without either flag
+  std::unique_ptr<service::InstanceRepository> repository;
+
+  service::BatchOptions Options() const {
+    service::BatchOptions options;
+    options.cache = cache.get();
+    options.store = store.get();
+    options.repository = repository.get();
+    return options;
+  }
+};
+
+// Opens the warm-start store named by --store/--store-cap, creates the plan
+// cache (`cache_size` entries; --store implies 1024, because plan
+// persistence flows through the cache's write-through tier) and one
+// instance repository over `plan_service`'s base, so prototype engines
+// survive script steps and edits. An unopenable store (directory
+// uncreatable, catastrophic recovery failure) is the BOTTOM rung of the
+// degradation ladder: the run warns and continues in-memory only — the
+// warm start is an optimization, never a prerequisite. Flag errors fail.
+Result<ServingState> MakeServingState(const ParsedArgs& args,
+                                      const PlanService& plan_service,
+                                      int64_t cache_size) {
+  ServingState state;
   std::string dir = args.GetString("store", "");
-  Result<int64_t> cap = args.GetInt("store-cap", 0);
-  if (!cap.ok()) return cap.status();
-  if (dir.empty()) {
-    if (*cap > 0) {
-      return Status::InvalidArgument("--store-cap requires --store=DIR");
+  TPP_ASSIGN_OR_RETURN(int64_t cap, args.GetInt("store-cap", 0));
+  if (dir.empty() && cap > 0) {
+    return Status::InvalidArgument("--store-cap requires --store=DIR");
+  }
+  if (!dir.empty()) {
+    service::store::StoreOptions store_options;
+    store_options.capacity_bytes = static_cast<uint64_t>(cap);
+    Result<std::unique_ptr<service::store::WarmStore>> store =
+        service::store::WarmStore::Open(dir, store_options);
+    if (store.ok()) {
+      state.store = std::move(*store);
+    } else {
+      std::fprintf(stderr,
+                   "warning: warm store %s unavailable (%s); continuing "
+                   "without persistence\n",
+                   dir.c_str(), store.status().ToString().c_str());
     }
-    return std::unique_ptr<service::store::WarmStore>();
   }
-  service::store::StoreOptions store_options;
-  store_options.capacity_bytes = static_cast<uint64_t>(*cap);
-  Result<std::unique_ptr<service::store::WarmStore>> store =
-      service::store::WarmStore::Open(dir, store_options);
-  if (!store.ok()) {
-    std::fprintf(stderr,
-                 "warning: warm store %s unavailable (%s); continuing "
-                 "without persistence\n",
-                 dir.c_str(), store.status().ToString().c_str());
-    return std::unique_ptr<service::store::WarmStore>();
+  if (cache_size > 0 || state.store != nullptr) {
+    state.cache = std::make_unique<service::PlanCache>(
+        static_cast<size_t>(cache_size > 0 ? cache_size : 1024));
   }
-  return store;
+  if (state.store != nullptr) {
+    state.cache->set_backing_store(state.store.get());
+    state.cache->set_cache_failures(args.GetBool("cache-failures"));
+  }
+  state.repository =
+      std::make_unique<service::InstanceRepository>(&plan_service.base());
+  return state;
 }
 
-void PrintStoreStats(const service::store::WarmStore& store,
-                     const service::BatchStats& stats,
-                     const service::PlanCache* cache) {
-  service::store::WarmStore::Stats ss = store.stats();
+// The store footer: snapshot counts are whole-run totals (cold builds and
+// in-place repair write-backs alike), so they match `tpp store ls`.
+void PrintStoreStats(const ServingState& state) {
+  if (state.store == nullptr) return;
+  service::store::WarmStore::Stats ss = state.store->stats();
   std::printf(
       "warm store %s: %zu snapshot hits, %zu snapshot writes, "
       "%llu plan hits, %llu rejects, %llu evicted files\n",
-      store.dir().c_str(), stats.snapshot_hits, stats.snapshot_stores,
+      state.store->dir().c_str(), state.repository->NumSnapshotHits(),
+      state.repository->NumSnapshotStores(),
       static_cast<unsigned long long>(ss.plan_hits),
       static_cast<unsigned long long>(ss.index_rejects +
                                       ss.admission_rejects),
@@ -202,12 +235,10 @@ void PrintStoreStats(const service::store::WarmStore& store,
       static_cast<unsigned long long>(ss.io_retries),
       static_cast<unsigned long long>(ss.write_failures),
       static_cast<unsigned long long>(ss.degradations()));
-  if (cache != nullptr) {
-    service::PlanCache::Stats cs = cache->stats();
-    std::printf("plan cache tiers: %llu memory hits, %llu disk hits\n",
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.backing_hits));
-  }
+  service::PlanCache::Stats cs = state.cache->stats();
+  std::printf("plan cache tiers: %llu memory hits, %llu disk hits\n",
+              static_cast<unsigned long long>(cs.hits),
+              static_cast<unsigned long long>(cs.backing_hits));
 }
 
 // Reads the solver-selection flags shared by `protect` into a SolverSpec.
@@ -262,33 +293,17 @@ int RunProtect(const ParsedArgs& args) {
   // batches leave this off per request to keep memory flat.
   request.want_released = true;
 
-  Result<std::unique_ptr<service::store::WarmStore>> store =
-      OpenStoreFromFlags(args);
-  if (!store.ok()) return Fail(store.status());
-
-  PlanService plan_service(*g);
-  PlanResponse response;
-  if (*store != nullptr) {
-    // With a store the single request routes through the pipeline so the
-    // warm-start hooks engage; responses are bit-identical to RunOne.
-    service::PlanCache cache(/*capacity=*/16);
-    cache.set_backing_store(store->get());
-    cache.set_cache_failures(args.GetBool("cache-failures"));
-    service::BatchStats stats;
-    service::BatchOptions options;
-    options.cache = &cache;
-    options.store = store->get();
-    options.stats = &stats;
-    std::vector<PlanResponse> responses =
-        plan_service.RunBatch(std::span<const PlanRequest>(&request, 1),
-                              options);
-    response = std::move(responses[0]);
-    if (!response.status.ok()) return Fail(response.status);
-    PrintStoreStats(**store, stats, &cache);
-  } else {
-    response = plan_service.RunOne(request);
-    if (!response.status.ok()) return Fail(response.status);
-  }
+  PlanService plan_service(std::move(*g));
+  Result<ServingState> state =
+      MakeServingState(args, plan_service, /*cache_size=*/0);
+  if (!state.ok()) return Fail(state.status());
+  // A batch of one: the warm-start hooks engage when --store is given,
+  // and the plan is bit-identical to a cold RunOne either way.
+  std::vector<PlanResponse> responses = plan_service.RunBatch(
+      std::span<const PlanRequest>(&request, 1), state->Options());
+  PlanResponse& response = responses[0];
+  if (!response.status.ok()) return Fail(response.status);
+  PrintStoreStats(*state);
 
   core::TppInstance instance = {
       plan_service.base(), response.targets, request.motif};
@@ -351,27 +366,14 @@ int RunBatch(const ParsedArgs& args) {
     total_requests += step.requests.size();
   }
 
-  Result<std::unique_ptr<service::store::WarmStore>> store =
-      OpenStoreFromFlags(args);
-  if (!store.ok()) return Fail(store.status());
-
   PlanService plan_service(std::move(*g));
-  // One repository for the whole script: prototype engines survive the
+  // One serving state for the whole script: prototype engines survive the
   // edit boundaries (repaired in place by ApplyEdit), so a step re-naming
   // an untouched instance re-clones instead of re-enumerating.
-  service::InstanceRepository repository(&plan_service.base());
-  std::unique_ptr<service::PlanCache> cache;
-  if (*cache_size > 0 || *store != nullptr) {
-    // Plan persistence flows through the cache's write-through tier, so
-    // --store implies a cache even when --cache-size was not given.
-    cache = std::make_unique<service::PlanCache>(
-        static_cast<size_t>(*cache_size > 0 ? *cache_size : 1024));
-  }
-  if (*store != nullptr) {
-    cache->set_backing_store(store->get());
-    cache->set_cache_failures(args.GetBool("cache-failures"));
-  }
-  service::BatchStats stats;  // accumulated across every script step
+  Result<ServingState> state =
+      MakeServingState(args, plan_service, *cache_size);
+  if (!state.ok()) return Fail(state.status());
+  size_t dedup_shared = 0;  // the one per-step counter: summed over steps
 
   std::string plan_dir = args.GetString("plan-dir", "");
   Status plan_io = Status::Ok();
@@ -411,10 +413,7 @@ int RunBatch(const ParsedArgs& args) {
   for (const service::PlanScriptStep& step : steps) {
     const std::vector<PlanRequest>& requests = step.requests;
     service::BatchStats step_stats;
-    service::BatchOptions options;
-    options.cache = cache.get();
-    options.store = store->get();
-    options.repository = &repository;
+    service::BatchOptions options = state->Options();
     options.stats = &step_stats;
     options.batch_deadline_ms = *batch_deadline_ms;
     if (stream) {
@@ -469,21 +468,10 @@ int RunBatch(const ParsedArgs& args) {
         write_plan(request, response);
       }
     }
-    stats.requests += step_stats.requests;
-    stats.cache_hits += step_stats.cache_hits;
-    stats.dedup_shared += step_stats.dedup_shared;
-    stats.solved += step_stats.solved;
-    stats.instance_groups = step_stats.instance_groups;  // cumulative total
-    stats.instance_builds += step_stats.instance_builds;
-    stats.snapshot_hits += step_stats.snapshot_hits;
-    stats.snapshot_stores += step_stats.snapshot_stores;
-    stats.deadline_exceeded += step_stats.deadline_exceeded;
-    stats.store_retries += step_stats.store_retries;
-    stats.store_write_failures += step_stats.store_write_failures;
-    stats.store_degradations += step_stats.store_degradations;
+    dedup_shared += step_stats.dedup_shared;
     if (step.edit.has_value()) {
-      Result<service::EditSummary> summary =
-          plan_service.ApplyEdit(*step.edit, cache.get(), &repository);
+      Result<service::EditSummary> summary = plan_service.ApplyEdit(
+          *step.edit, state->cache.get(), state->repository.get());
       if (!summary.ok()) return Fail(summary.status());
       std::printf(
           "edit: +%zu/-%zu edges, fingerprint %016llx -> %016llx "
@@ -506,8 +494,8 @@ int RunBatch(const ParsedArgs& args) {
   if (!plan_dir.empty()) {
     std::printf("plans written to %s/<request>.plan\n", plan_dir.c_str());
   }
-  if (cache) {
-    service::PlanCache::Stats cs = cache->stats();
+  if (state->cache != nullptr) {
+    service::PlanCache::Stats cs = state->cache->stats();
     std::printf("plan cache: %llu hits, %llu misses, %llu evictions, "
                 "%llu invalidated-by-edit "
                 "(%zu dedup-shared, %zu instance builds for %zu groups)\n",
@@ -515,10 +503,10 @@ int RunBatch(const ParsedArgs& args) {
                 static_cast<unsigned long long>(cs.misses),
                 static_cast<unsigned long long>(cs.evictions),
                 static_cast<unsigned long long>(cs.invalidated_by_edit),
-                stats.dedup_shared, stats.instance_builds,
-                stats.instance_groups);
+                dedup_shared, state->repository->NumBuilds(),
+                state->repository->NumGroups());
   }
-  if (*store != nullptr) PrintStoreStats(**store, stats, cache.get());
+  PrintStoreStats(*state);
   if (failures > 0) {
     // One stable line, codes in name order: "failures: 2/10
     // (DeadlineExceeded=1 InvalidArgument=1)".
@@ -551,8 +539,9 @@ int RunServe(const ParsedArgs& args) {
   Result<int64_t> per_client = args.GetInt("per-client", 64);
   Result<int64_t> est_request_ms = args.GetInt("est-request-ms", 50);
   Result<int64_t> max_batch = args.GetInt("max-batch", 8);
+  Result<int64_t> cache_size = args.GetInt("cache-size", 0);
   for (const auto* flag : {&queue_depth, &queued_bytes, &per_client,
-                           &est_request_ms, &max_batch}) {
+                           &est_request_ms, &max_batch, &cache_size}) {
     if (!flag->ok()) return Fail(flag->status());
   }
   server_options.admission.max_queue_depth =
@@ -564,30 +553,17 @@ int RunServe(const ParsedArgs& args) {
       static_cast<uint64_t>(*est_request_ms);
   server_options.max_batch = static_cast<size_t>(*max_batch);
 
-  Result<std::unique_ptr<service::store::WarmStore>> store =
-      OpenStoreFromFlags(args);
-  if (!store.ok()) return Fail(store.status());
-  Result<int64_t> cache_size = args.GetInt("cache-size", 0);
-  if (!cache_size.ok()) return Fail(cache_size.status());
-
   PlanService plan_service(std::move(*g));
   // The same serving state `tpp batch` wires up, held for the server's
   // whole life: prototype engines survive edit barriers, and with
   // --store a restart re-serves scripts byte-identically from snapshots
   // and the plan log.
-  service::InstanceRepository repository(&plan_service.base());
-  std::unique_ptr<service::PlanCache> cache;
-  if (*cache_size > 0 || *store != nullptr) {
-    cache = std::make_unique<service::PlanCache>(
-        static_cast<size_t>(*cache_size > 0 ? *cache_size : 1024));
-  }
-  if (*store != nullptr) {
-    cache->set_backing_store(store->get());
-    cache->set_cache_failures(args.GetBool("cache-failures"));
-  }
-  server_options.cache = cache.get();
-  server_options.store = store->get();
-  server_options.repository = &repository;
+  Result<ServingState> state =
+      MakeServingState(args, plan_service, *cache_size);
+  if (!state.ok()) return Fail(state.status());
+  server_options.cache = state->cache.get();
+  server_options.store = state->store.get();
+  server_options.repository = state->repository.get();
 
   Result<int> signal_fd = signals::InstallShutdownPipe();
   if (signal_fd.ok()) {
@@ -637,9 +613,7 @@ int RunServe(const ParsedArgs& args) {
       static_cast<unsigned long long>(stats.edits_applied),
       static_cast<unsigned long long>(stats.edits_failed),
       stats.max_client_load, stats.max_queue_depth);
-  if (*store != nullptr) {
-    PrintStoreStats(**store, service::BatchStats{}, cache.get());
-  }
+  PrintStoreStats(*state);
   return 0;
 }
 
