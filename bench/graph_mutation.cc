@@ -7,8 +7,9 @@
 //                 released edge count: a committed edit session's delta
 //                 (half removals of existing edges, half insertions of
 //                 absent pairs, never touching a target link) is applied
-//                 to a fresh prototype clone via IndexedEngine::ApplyEdit
-//                 (graph advance + delta-neighborhood index repair) and
+//                 to a fresh engine adopting a copy of the prototype's
+//                 index via IndexedEngine::ApplyEdit (graph advance +
+//                 delta-neighborhood index repair) and
 //                 timed against IncidenceIndex::Build on the edited graph
 //                 at the same thread budget. EVERY rep proves equivalence
 //                 the strong way: an sgb restricted solve on the repaired
@@ -187,7 +188,10 @@ ChurnResult RunChurnLevel(MotifKind kind, const TppInstance& inst,
     GraphDelta delta = RandomChurn(inst.released, target_keys, out.edits,
                                    rng);
 
-    IndexedEngine repaired = prototype.Clone();
+    // An engine that owns its graph, like a repository prototype edited
+    // between batches: a clone would share the prototype's graph, and
+    // ApplyEdit would copy the whole graph inside the timer first.
+    IndexedEngine repaired = *IndexedEngine::Adopt(inst, prototype.index());
     {
       WallTimer timer;
       TPP_CHECK(repaired.ApplyEdit(delta).ok());

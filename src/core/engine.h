@@ -147,7 +147,10 @@ class Engine {
   virtual const RoundGains& BeginRound(CandidateScope scope, bool per_target);
 
   /// The current (phase-1 + committed deletions) graph; used by the random
-  /// baselines and by utility analysis of the final release.
+  /// baselines and by utility analysis of the final release. The
+  /// reference follows later DeleteEdge calls. IndexedEngine builds this
+  /// graph lazily on the first call, so the call is not safe concurrently
+  /// with any other call on the same engine.
   virtual const graph::Graph& CurrentGraph() const = 0;
 
   /// Number of gain evaluations performed so far; the work metric reported

@@ -49,21 +49,67 @@ Result<IndexedEngine> IndexedEngine::Adopt(const TppInstance& instance,
                        instance.motif);
 }
 
+IndexedEngine IndexedEngine::Clone() const {
+  IndexedEngine copy(*this);
+  copy.current_.reset();  // rebuilt on demand from base_ and deleted_
+  copy.gain_evals_ = 0;
+  copy.table_.Reset();
+  copy.session_dirty_.clear();
+  copy.row_ids_ = {};
+  copy.id_to_row_ = {};
+  copy.session_flush_epoch_ = 0;
+  return copy;
+}
+
+const graph::Graph& IndexedEngine::CurrentGraph() const {
+  if (!current_.has_value()) {
+    current_.emplace(*base_);
+    for (EdgeKey e : deleted_) TPP_CHECK(current_->RemoveEdgeKey(e).ok());
+  }
+  return *current_;
+}
+
+void IndexedEngine::LiveEdgeKeysInto(std::vector<EdgeKey>* out) const {
+  *out = base_->EdgeKeys();
+  if (deleted_.empty()) return;
+  // Both lists are ascending and every deleted key is in the base, so one
+  // merge pass drops them in place.
+  auto del = deleted_.begin();
+  size_t kept = 0;
+  for (EdgeKey e : *out) {
+    if (del != deleted_.end() && *del == e) {
+      ++del;
+      continue;
+    }
+    (*out)[kept++] = e;
+  }
+  out->resize(kept);
+}
+
 Status IndexedEngine::ApplyEdit(const graph::GraphDelta& delta,
                                 const CancellationToken* cancel) {
+  if (!deleted_.empty()) {
+    return Status::FailedPrecondition(
+        "ApplyEdit requires an engine without committed deletions");
+  }
   // Graph first (the repair enumerates created instances on the post-edit
-  // graph), index second; a repair failure rolls the graph back by
-  // replaying the inverse delta, so errors leave the engine unchanged.
-  TPP_RETURN_IF_ERROR(g_.ApplyDelta(delta));
-  Status repaired = index_.ApplyGraphDelta(g_, targets_, motif_, delta, cancel);
+  // graph), index second. A base graph still shared with live clones is
+  // unshared first, so they keep their pre-edit graph; a repair failure
+  // rolls the graph back by replaying the inverse delta, so errors leave
+  // the engine's graph and index unchanged.
+  if (base_.use_count() > 1) base_ = std::make_shared<graph::Graph>(*base_);
+  TPP_RETURN_IF_ERROR(base_->ApplyDelta(delta));
+  Status repaired =
+      index_.ApplyGraphDelta(*base_, targets_, motif_, delta, cancel);
   if (!repaired.ok()) {
     graph::GraphDelta inverse;
     inverse.inserted = delta.removed;
     inverse.removed = delta.inserted;
-    Status rollback = g_.ApplyDelta(inverse);
+    Status rollback = base_->ApplyDelta(inverse);
     TPP_CHECK(rollback.ok());
     return repaired;
   }
+  current_.reset();  // CurrentGraph() rebuilds it from the edited base
   // The candidate universe and count arrays the session aliases changed
   // shape: reset, exactly as Clone does, so the next BeginRound is a full
   // evaluation against the repaired layout.
@@ -178,9 +224,12 @@ void IndexedEngine::BatchGainVector(std::span<const EdgeKey> edges,
 }
 
 size_t IndexedEngine::DeleteEdge(EdgeKey e) {
-  if (!g_.HasEdgeKey(e)) return 0;  // absent or already deleted: no-op
-  Status s = g_.RemoveEdgeKey(e);
-  TPP_CHECK(s.ok());
+  auto at = std::lower_bound(deleted_.begin(), deleted_.end(), e);
+  if (!base_->HasEdgeKey(e) || (at != deleted_.end() && *at == e)) {
+    return 0;  // absent or already deleted: no-op
+  }
+  deleted_.insert(at, e);
+  if (current_.has_value()) TPP_CHECK(current_->RemoveEdgeKey(e).ok());
   // Kill marks only; count and cell maintenance stays queued in the index
   // until the next gain read (BeginRound collects the dirty set from the
   // flush it performs then).
@@ -188,14 +237,18 @@ size_t IndexedEngine::DeleteEdge(EdgeKey e) {
 }
 
 std::vector<EdgeKey> IndexedEngine::Candidates(CandidateScope scope) {
-  if (scope == CandidateScope::kAllEdges) return g_.EdgeKeys();
+  if (scope == CandidateScope::kAllEdges) {
+    std::vector<EdgeKey> out;
+    LiveEdgeKeysInto(&out);
+    return out;
+  }
   return index_.AliveCandidateEdges();
 }
 
 void IndexedEngine::CandidatesInto(CandidateScope scope,
                                    std::vector<EdgeKey>* out) {
   if (scope == CandidateScope::kAllEdges) {
-    *out = g_.EdgeKeys();
+    LiveEdgeKeysInto(out);
     return;
   }
   index_.AliveCandidateEdgesInto(out);
@@ -235,7 +288,7 @@ void IndexedEngine::InitRoundSession(CandidateScope scope, bool per_target) {
     // (a committed pick zeroes its row via the dirty set, exactly like a
     // candidate dying). Non-interned edges have no instances, hence gain
     // 0 forever and never appear in a dirty set.
-    table_.edges = g_.EdgeKeys();
+    LiveEdgeKeysInto(&table_.edges);
     num_rows = table_.edges.size();
     table_.totals.resize(num_rows);
     row_ids_.assign(num_rows, kNoRow);
@@ -336,7 +389,8 @@ const RoundGains& IndexedEngine::BeginRound(CandidateScope scope,
   session_flush_epoch_ = index_.CountsFlushEpoch();
   table_.view.num_candidates =
       scope == CandidateScope::kTargetSubgraphEdges ? index_.NumAliveEdges()
-                                                    : g_.NumEdges();
+                                                    : base_->NumEdges() -
+                                                          deleted_.size();
   // One evaluation per live candidate, exactly the cold sweep's count.
   gain_evals_ += table_.view.num_candidates;
   return table_.view;

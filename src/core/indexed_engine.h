@@ -4,6 +4,8 @@
 #define TPP_CORE_INDEXED_ENGINE_H_
 
 #include <functional>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -93,12 +95,20 @@ class IndexedEngine : public Engine {
   /// one evaluation per live candidate (see Engine::BeginRound).
   const RoundGains& BeginRound(CandidateScope scope,
                                bool per_target) override;
-  const graph::Graph& CurrentGraph() const override { return g_; }
+  /// The released graph minus this engine's committed deletions: the
+  /// engine's own copy, built from the shared base graph on the first
+  /// call and kept in step with every later DeleteEdge, so a reference
+  /// follows later deletions as on NaiveEngine. Valid until the next
+  /// ApplyEdit. The first call writes the copy: not safe to call
+  /// concurrently with any other call on the same engine.
+  const graph::Graph& CurrentGraph() const override;
   uint64_t GainEvaluations() const override { return gain_evals_; }
 
-  /// Cheap private copy for shared-instance batching: duplicates the
-  /// current graph and the index's alive-count state so the clone can
-  /// commit deletions without touching this engine. Cloning a
+  /// Cheap private copy for shared-instance batching: shares the
+  /// immutable base graph (a pointer copy, no adjacency list is copied or
+  /// freed per request), copies the committed-deletion overlay and the
+  /// index's mutable alive-count arrays, so the clone can commit
+  /// deletions without touching this engine or its siblings. Cloning a
   /// freshly-built engine is indistinguishable from building a second
   /// engine from the same instance — same graph, same index contents,
   /// work counter at zero — at the cost of a flat-array copy instead of a
@@ -106,32 +116,27 @@ class IndexedEngine : public Engine {
   /// incremental round session is RESET on the copy (the clone's first
   /// BeginRound is a full evaluation), so prototype engines shared by the
   /// batch pipeline never leak round state into per-request clones.
-  IndexedEngine Clone() const {
-    IndexedEngine copy(*this);
-    copy.gain_evals_ = 0;
-    copy.table_.Reset();
-    copy.session_dirty_.clear();
-    copy.row_ids_ = {};
-    copy.id_to_row_ = {};
-    copy.session_flush_epoch_ = 0;
-    return copy;
-  }
+  IndexedEngine Clone() const;
 
   /// Applies a committed base-graph edit (graph::Graph::EditSession
-  /// delta) to this engine IN PLACE: advances the engine's graph copy and
+  /// delta) to this engine IN PLACE: advances the engine's base graph and
   /// repairs the incidence index around the delta neighborhood
   /// (motif::IncidenceIndex::ApplyGraphDelta) instead of re-enumerating —
   /// the result answers every query exactly as an engine freshly built
   /// from the edited graph would (plans come out byte-identical;
-  /// bench/graph_mutation.cc checks this every rep). Requires a FRESH
-  /// engine — no deletions committed yet (prototype engines between
-  /// batches, not per-request clones mid-solve); errors leave both graph
-  /// and index unchanged. Any incremental round session is reset, exactly
-  /// as on Clone. The delta must not touch a target link: edits to target
-  /// links change the problem itself, so the owning service rebuilds
-  /// those groups instead (service/instance_repository.h). `cancel`
-  /// (optional) is polled before the repair mutates anything; once the
-  /// repair starts it runs to completion.
+  /// bench/graph_mutation.cc checks this every rep). When a live clone
+  /// still shares the base graph, the graph is copied first (O(graph)) so
+  /// the clone keeps answering against the pre-edit graph; the
+  /// repository edits its prototypes between batches, when no clone is
+  /// alive, so its edits never copy. Requires a FRESH engine — no
+  /// deletions committed yet (prototype engines between batches, not
+  /// per-request clones mid-solve; FailedPrecondition otherwise); errors
+  /// leave both graph and index unchanged. Any incremental round session
+  /// is reset, exactly as on Clone. The delta must not touch a target
+  /// link: edits to target links change the problem itself, so the owning
+  /// service rebuilds those groups instead (service/instance_repository.h).
+  /// `cancel` (optional) is polled before the repair mutates anything;
+  /// once the repair starts it runs to completion.
   Status ApplyEdit(const graph::GraphDelta& delta,
                    const CancellationToken* cancel = nullptr);
 
@@ -150,12 +155,16 @@ class IndexedEngine : public Engine {
   const motif::IncidenceIndex& index() const { return index_; }
 
  private:
-  IndexedEngine(graph::Graph g, motif::IncidenceIndex index,
+  IndexedEngine(const graph::Graph& g, motif::IncidenceIndex index,
                 std::vector<graph::Edge> targets, motif::MotifKind motif)
-      : g_(std::move(g)),
+      : base_(std::make_shared<graph::Graph>(g)),
         index_(std::move(index)),
         targets_(std::move(targets)),
         motif_(motif) {}
+
+  // The current graph's edge keys, ascending: the base graph's minus the
+  // deletion overlay.
+  void LiveEdgeKeysInto(std::vector<graph::EdgeKey>* out) const;
 
   // Shared worker-sizing and dispatch of the row-granular parallel jobs
   // (FillGainRows, BeginRound's dirty-row patch): honors set_threads()
@@ -173,7 +182,15 @@ class IndexedEngine : public Engine {
   // (Re)starts an incremental round session for (scope, per_target).
   void InitRoundSession(CandidateScope scope, bool per_target);
 
-  graph::Graph g_;
+  // The released graph, shared by the prototype and all its clones and
+  // never mutated while shared (ApplyEdit copies on write). The current
+  // graph is base_ minus deleted_, this engine's committed deletions
+  // (sorted ascending; a budget's worth of keys, not a graph).
+  std::shared_ptr<graph::Graph> base_;
+  std::vector<graph::EdgeKey> deleted_;
+  // CurrentGraph()'s defended graph, built on its first call and kept in
+  // step by DeleteEdge afterwards; dropped by Clone and ApplyEdit.
+  mutable std::optional<graph::Graph> current_;
   motif::IncidenceIndex index_;
   // Build identity retained for ApplyEdit: the index repair re-derives
   // created instances per target, and the index itself only records the

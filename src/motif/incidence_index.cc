@@ -345,25 +345,26 @@ void IncidenceIndex::FinishAliveState(size_t num_targets) {
 }
 
 void IncidenceIndex::PopulateRepairCaches(const std::vector<Edge>& targets) {
-  target_keys_sorted_.clear();
-  target_keys_sorted_.reserve(targets.size());
-  for (const Edge& t : targets) {
-    target_keys_sorted_.push_back(graph::MakeEdgeKey(t.u, t.v));
-  }
-  std::sort(target_keys_sorted_.begin(), target_keys_sorted_.end());
+  std::vector<graph::EdgeKey> keys;
+  keys.reserve(targets.size());
+  for (const Edge& t : targets) keys.push_back(graph::MakeEdgeKey(t.u, t.v));
+  std::sort(keys.begin(), keys.end());
   const size_t n = u_offsets_.size() == 0 ? 0 : u_offsets_.size() - 1;
-  node_tgt_off_.assign(n + 1, 0);
+  std::vector<uint32_t> off(n + 1, 0);
   for (const Edge& t : targets) {
-    ++node_tgt_off_[t.u + 1];
-    ++node_tgt_off_[t.v + 1];
+    ++off[t.u + 1];
+    ++off[t.v + 1];
   }
-  for (size_t x = 0; x < n; ++x) node_tgt_off_[x + 1] += node_tgt_off_[x];
-  node_tgt_.assign(node_tgt_off_.back(), 0);
-  std::vector<uint32_t> cursor(node_tgt_off_.begin(), node_tgt_off_.end() - 1);
+  for (size_t x = 0; x < n; ++x) off[x + 1] += off[x];
+  std::vector<uint32_t> tgt(off.back(), 0);
+  std::vector<uint32_t> cursor(off.begin(), off.end() - 1);
   for (size_t t = 0; t < targets.size(); ++t) {
-    node_tgt_[cursor[targets[t].u]++] = static_cast<uint32_t>(t);
-    node_tgt_[cursor[targets[t].v]++] = static_cast<uint32_t>(t);
+    tgt[cursor[targets[t].u]++] = static_cast<uint32_t>(t);
+    tgt[cursor[targets[t].v]++] = static_cast<uint32_t>(t);
   }
+  target_keys_sorted_ = std::move(keys);
+  node_tgt_off_ = std::move(off);
+  node_tgt_ = std::move(tgt);
 }
 
 void IncidenceIndex::BuildProbeTable() {

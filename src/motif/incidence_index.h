@@ -468,9 +468,10 @@ class IncidenceIndex {
   // Storage split: everything immutable after build is a FlatArray —
   // copies of the index (IndexedEngine::Clone) alias one backing
   // allocation, and a snapshot load (motif/index_snapshot.h) adopts the
-  // mmap'd file bytes in place. Only the genuinely mutable state (alive
-  // flags, cached counts, CSR-2 cells, deferral queues) stays in
-  // std::vectors that deep-copy per clone.
+  // mmap'd file bytes in place (the repair caches are FlatArrays too, but
+  // never serialized). Only the genuinely mutable state (alive flags,
+  // cached counts, CSR-2 cells, deferral queues) stays in std::vectors
+  // that deep-copy per clone.
 
   // Instance storage (shared shape with the reference index). alive_ is
   // a four-state flag: 1 = alive; 2 = dead, count AND cell maintenance
@@ -551,9 +552,9 @@ class IncidenceIndex {
   // rebuilt on the first repair of a snapshot-loaded index — and
   // deliberately absent from the serialized form AND from BitIdentical
   // (a loaded index must compare equal to the built one).
-  std::vector<graph::EdgeKey> target_keys_sorted_;
-  std::vector<uint32_t> node_tgt_off_;  // size NumNodes() + 1 once filled
-  std::vector<uint32_t> node_tgt_;     // flat target indexes
+  FlatArray<graph::EdgeKey> target_keys_sorted_;
+  FlatArray<uint32_t> node_tgt_off_;  // size NumNodes() + 1 once filled
+  FlatArray<uint32_t> node_tgt_;      // flat target indexes
 
   // Everything DeleteEdge needs per killed instance, in one compact
   // record (one cache line instead of three scattered structures): the

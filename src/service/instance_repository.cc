@@ -162,8 +162,9 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
       ++edit_resets_;
       continue;
     }
-    // In-place repair: released graph first, then the engine (its own
-    // graph copy + incidence-index repair around the delta neighborhood).
+    // In-place repair: released graph first, then the engine (its base
+    // graph, copied first if a live clone still shares it, and the
+    // incidence-index repair around the delta neighborhood).
     Status repaired = group.instance->released.ApplyDelta(delta);
     if (repaired.ok()) repaired = group.engine->ApplyEdit(delta);
     if (!repaired.ok()) {

@@ -9,8 +9,9 @@
 // exactly once (thread-safe: the first acquirer builds, concurrent
 // acquirers wait on the same per-group build mutex), and hands every
 // request a private engine clone (IndexedEngine::Clone) whose committed
-// deletions cannot leak across requests. Clone carries the graph and index state
-// but RESETS the incremental round session (the persistent gain table of
+// deletions cannot leak across requests. Clone shares the released graph,
+// copies the index's mutable state and a private deletion overlay, but
+// RESETS the incremental round session (the persistent gain table of
 // Engine::BeginRound), so every request's solver starts its rounds from
 // a full evaluation rather than a sibling request's dirty tracking.
 //

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/indexed_engine.h"
 #include "core/naive_engine.h"
 #include "core/problem.h"
 #include "graph/fixtures.h"
+#include "graph/generators.h"
 #include "test_util.h"
 
 namespace tpp::core {
@@ -133,6 +139,219 @@ TEST(NaiveEngineTest, GainOnAbsentEdgeIsZero) {
   NaiveEngine engine(inst);
   EXPECT_EQ(engine.Gain(MakeEdgeKey(0, 4)), 0u);  // not an edge
 }
+
+// Clone semantics: clones share the prototype's base graph and carry only
+// their own committed deletions, so every observable answer must match an
+// engine that owns a private copy of the graph.
+
+TppInstance RandomInstance(motif::MotifKind motif, uint64_t seed) {
+  Rng rng(seed);
+  Graph g = *graph::ErdosRenyiGnp(36, 0.2, rng);
+  std::vector<Edge> targets = rng.SampleK(g.Edges(), 4);
+  return *MakeInstance(g, targets, motif);
+}
+
+// The first `count` restricted-scope candidates: edges whose deletion
+// changes some gain, so the deletions below exercise the index too.
+std::vector<graph::EdgeKey> SomeProtectors(IndexedEngine& engine,
+                                           size_t count) {
+  std::vector<graph::EdgeKey> c =
+      engine.Candidates(CandidateScope::kTargetSubgraphEdges);
+  if (c.size() > count) c.resize(count);
+  return c;
+}
+
+std::vector<size_t> AllGains(IndexedEngine& engine) {
+  std::vector<graph::EdgeKey> edges =
+      engine.Candidates(CandidateScope::kAllEdges);
+  return engine.BatchGain(edges);
+}
+
+class IndexedEngineCloneTest
+    : public ::testing::TestWithParam<motif::MotifKind> {};
+
+TEST_P(IndexedEngineCloneTest, DeletionsStayPrivateToTheClone) {
+  TppInstance inst = RandomInstance(GetParam(), 3);
+  IndexedEngine prototype = *IndexedEngine::Create(inst);
+  const size_t similarity = prototype.TotalSimilarity();
+  const std::vector<size_t> gains = AllGains(prototype);
+  IndexedEngine first = prototype.Clone();
+  IndexedEngine sibling = prototype.Clone();
+  std::vector<graph::EdgeKey> picks = SomeProtectors(first, 3);
+  ASSERT_FALSE(picks.empty());
+  for (graph::EdgeKey e : picks) first.DeleteEdge(e);
+  EXPECT_LT(first.TotalSimilarity(), similarity);
+
+  for (IndexedEngine* other : {&prototype, &sibling}) {
+    EXPECT_EQ(other->TotalSimilarity(), similarity);
+    EXPECT_EQ(AllGains(*other), gains);
+    EXPECT_TRUE(other->CurrentGraph() == inst.released);
+    for (graph::EdgeKey e : picks) {
+      EXPECT_TRUE(other->CurrentGraph().HasEdgeKey(e));
+    }
+  }
+  // A sibling deleting the same edge is not a no-op: the first clone's
+  // deletion is not visible to it.
+  EXPECT_GT(sibling.DeleteEdge(picks[0]), 0u);
+}
+
+TEST_P(IndexedEngineCloneTest, CurrentGraphIsBaseMinusDeletions) {
+  TppInstance inst = RandomInstance(GetParam(), 4);
+  IndexedEngine prototype = *IndexedEngine::Create(inst);
+  IndexedEngine clone = prototype.Clone();
+  // A reference taken before any deletion follows every later one.
+  const Graph& current = clone.CurrentGraph();
+  EXPECT_TRUE(current == inst.released);
+
+  std::vector<graph::EdgeKey> all =
+      clone.Candidates(CandidateScope::kAllEdges);
+  ASSERT_GE(all.size(), 4u);
+  Graph expected = inst.released;
+  ASSERT_TRUE(expected.RemoveEdgeKey(all[1]).ok());
+  clone.DeleteEdge(all[1]);
+  EXPECT_TRUE(current == expected);
+  // Repeats and non-edges (a target link) are no-ops.
+  for (graph::EdgeKey e : {all[3], all[0], all[1]}) {
+    if (expected.HasEdgeKey(e)) {
+      ASSERT_TRUE(expected.RemoveEdgeKey(e).ok());
+    }
+    clone.DeleteEdge(e);
+  }
+  EXPECT_EQ(clone.DeleteEdge(inst.targets[0].Key()), 0u);
+  EXPECT_TRUE(current == expected);
+  EXPECT_EQ(&clone.CurrentGraph(), &current);
+  EXPECT_TRUE(prototype.CurrentGraph() == inst.released);
+  // A clone of a clone starts from the same deletions.
+  EXPECT_TRUE(clone.Clone().CurrentGraph() == expected);
+}
+
+template <typename T>
+std::vector<T> ToVector(std::span<const T> s) {
+  return std::vector<T>(s.begin(), s.end());
+}
+
+// The fresh engine runs the same overlay code as the clone, so the naive
+// engine (which owns and edits its graph) is the independent reference.
+TEST_P(IndexedEngineCloneTest, FullScopeQueriesMatchAFreshEngine) {
+  TppInstance inst = RandomInstance(GetParam(), 5);
+  IndexedEngine prototype = *IndexedEngine::Create(inst);
+  IndexedEngine clone = prototype.Clone();
+  IndexedEngine fresh = *IndexedEngine::Create(inst);
+  NaiveEngine naive(inst);
+  std::vector<graph::EdgeKey> all =
+      fresh.Candidates(CandidateScope::kAllEdges);
+  std::vector<graph::EdgeKey> picks = SomeProtectors(fresh, 2);
+  // Two protectors plus the last full-scope edge, whether or not it is in
+  // a target subgraph.
+  picks.push_back(all.back());
+  for (bool per_target : {false, true}) {
+    SCOPED_TRACE(per_target ? "per-target rows" : "totals only");
+    for (graph::EdgeKey e : picks) {
+      const size_t killed = naive.DeleteEdge(e);
+      EXPECT_EQ(clone.DeleteEdge(e), killed);
+      EXPECT_EQ(fresh.DeleteEdge(e), killed);
+      const std::vector<graph::EdgeKey> want =
+          naive.Candidates(CandidateScope::kAllEdges);
+      EXPECT_EQ(clone.Candidates(CandidateScope::kAllEdges), want);
+      EXPECT_EQ(fresh.Candidates(CandidateScope::kAllEdges), want);
+      std::vector<graph::EdgeKey> into;
+      clone.CandidatesInto(CandidateScope::kAllEdges, &into);
+      EXPECT_EQ(into, want);
+      const RoundGains& a =
+          clone.BeginRound(CandidateScope::kAllEdges, per_target);
+      const RoundGains& b =
+          fresh.BeginRound(CandidateScope::kAllEdges, per_target);
+      const RoundGains& c =
+          naive.BeginRound(CandidateScope::kAllEdges, per_target);
+      // The naive engine rebuilds its universe every round; an indexed
+      // session keeps its start-of-session universe (deleted edges stay
+      // as zero rows), so the views compare only on a session's first
+      // round.
+      EXPECT_EQ(a.all_dirty, b.all_dirty);
+      for (const RoundGains* other : {&b, &c}) {
+        if (other == &c && !a.all_dirty) continue;
+        EXPECT_EQ(a.num_candidates, other->num_candidates);
+        EXPECT_EQ(ToVector(a.edges), ToVector(other->edges));
+        EXPECT_EQ(ToVector(a.totals), ToVector(other->totals));
+        EXPECT_EQ(ToVector(a.rows), ToVector(other->rows));
+      }
+      EXPECT_EQ(a.num_candidates, c.num_candidates);
+    }
+    picks = SomeProtectors(fresh, 2);
+  }
+  EXPECT_TRUE(clone.CurrentGraph() == naive.CurrentGraph());
+  EXPECT_TRUE(fresh.CurrentGraph() == naive.CurrentGraph());
+  EXPECT_EQ(clone.GainEvaluations(), fresh.GainEvaluations());
+}
+
+TEST_P(IndexedEngineCloneTest, ApplyEditLeavesLiveClonesUntouched) {
+  TppInstance inst = RandomInstance(GetParam(), 6);
+  IndexedEngine prototype = *IndexedEngine::Create(inst);
+  IndexedEngine clone = prototype.Clone();
+  const Graph graph_before = inst.released;
+  const std::vector<size_t> gains_before = AllGains(clone);
+
+  // Remove one released edge, insert one absent non-target pair.
+  graph::GraphDelta delta;
+  delta.removed = {graph_before.Edges()[0]};
+  for (graph::NodeId v = 1; delta.inserted.empty(); ++v) {
+    const Edge e(0, v);
+    bool target = false;
+    for (const Edge& t : inst.targets) target |= t == e;
+    if (!graph_before.HasEdge(0, v) && !target) delta.inserted = {e};
+  }
+  // A graph read before the edit is rebuilt after it.
+  EXPECT_TRUE(prototype.CurrentGraph() == graph_before);
+  ASSERT_TRUE(prototype.ApplyEdit(delta).ok());
+  Graph edited = graph_before;
+  ASSERT_TRUE(edited.ApplyDelta(delta).ok());
+  EXPECT_TRUE(prototype.CurrentGraph() == edited);
+  EXPECT_TRUE(clone.CurrentGraph() == graph_before);
+  EXPECT_EQ(AllGains(clone), gains_before);
+
+  // The repaired prototype answers like a cold build on the edited graph.
+  TppInstance edited_inst = inst;
+  edited_inst.released = edited;
+  IndexedEngine cold = *IndexedEngine::Create(edited_inst);
+  EXPECT_EQ(AllGains(prototype), AllGains(cold));
+  EXPECT_EQ(prototype.TotalSimilarity(), cold.TotalSimilarity());
+
+  // Failing edits on a shared graph leave prototype and clone as they
+  // were: removing an absent edge fails in the graph, inserting a target
+  // link passes the graph and fails in the index repair.
+  IndexedEngine second = prototype.Clone();
+  graph::GraphDelta absent;
+  absent.removed = {delta.removed[0]};
+  graph::GraphDelta target_link;
+  target_link.inserted = {inst.targets[0]};
+  for (const graph::GraphDelta& bad : {absent, target_link}) {
+    EXPECT_FALSE(prototype.ApplyEdit(bad).ok());
+    EXPECT_TRUE(prototype.CurrentGraph() == edited);
+    EXPECT_TRUE(second.CurrentGraph() == edited);
+    EXPECT_EQ(AllGains(prototype), AllGains(cold));
+  }
+
+  // An engine with committed deletions refuses edits, even when the
+  // deleted edge is in no target subgraph (the index alone would still
+  // look fresh).
+  graph::EdgeKey idle = 0;
+  for (graph::EdgeKey e : second.Candidates(CandidateScope::kAllEdges)) {
+    if (second.Gain(e) == 0) idle = e;
+  }
+  ASSERT_NE(idle, 0u);
+  second.DeleteEdge(idle);
+  graph::GraphDelta undo;
+  undo.removed = delta.inserted;
+  EXPECT_EQ(second.ApplyEdit(undo).code(), StatusCode::kFailedPrecondition);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Motifs, IndexedEngineCloneTest,
+    ::testing::Values(motif::MotifKind::kTriangle,
+                      motif::MotifKind::kRectangle),
+    [](const ::testing::TestParamInfo<motif::MotifKind>& info) {
+      return std::string(motif::MotifName(info.param));
+    });
 
 }  // namespace
 }  // namespace tpp::core

@@ -269,6 +269,57 @@ TEST(PlanPipelineTest, EngineCloneIsIndependentOfPrototype) {
   EXPECT_TRUE(prototype.CurrentGraph().HasEdgeKey(candidates[0]));
 }
 
+// Clones share their group's released graph and build the defended graph
+// only when a response asks for it: released=1 responses from a batch
+// whose requests share groups (and a repository carried across batches)
+// must equal standalone RunOne runs, which build a private engine.
+TEST(PlanPipelineTest, ReleasedGraphsFromSharedClonesMatchRunOne) {
+  const Edge a = ArenasBase().Edges()[7];
+  const Edge b = ArenasBase().Edges()[42];
+  const std::string links = "links=" + std::to_string(a.u) + "-" +
+                            std::to_string(a.v) + ";" + std::to_string(b.u) +
+                            "-" + std::to_string(b.v);
+  Result<std::vector<PlanScriptStep>> steps = ParsePlanScript(
+      "algorithm=sgb " + links + " budget=4 released=1\n" +
+      "algorithm=ct-tbd " + links + " budget=6 released=1\n" +
+      "algorithm=wt-dbd " + links + " budget=3 released=1 scope=all\n" +
+      "algorithm=rd " + links + " budget=2 released=1\n" +
+      "algorithm=sgb sample=5 seed=21 budget=5 released=1\n"
+      "algorithm=rdt sample=5 seed=21 budget=5 released=1\n"
+      "algorithm=sgb sample=4 seed=22 budget=3 motif=Rectangle "
+      "released=1\n");
+  ASSERT_TRUE(steps.ok()) << steps.status().ToString();
+  const std::vector<PlanRequest>& requests = (*steps)[0].requests;
+  PlanService plan_service(ArenasBase());
+  std::vector<PlanResponse> solo;
+  for (const PlanRequest& request : requests) {
+    solo.push_back(plan_service.RunOne(request));
+    ASSERT_TRUE(solo.back().status.ok()) << solo.back().status.ToString();
+  }
+
+  InstanceRepository repository(&plan_service.base());
+  for (int workers : {1, 3, 1}) {
+    BatchOptions options;
+    options.max_workers = workers;
+    options.repository = &repository;
+    std::vector<PlanResponse> batch = plan_service.RunBatch(requests, options);
+    ASSERT_EQ(batch.size(), solo.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(i) + " workers=" +
+                   std::to_string(workers));
+      ASSERT_TRUE(batch[i].status.ok()) << batch[i].status.ToString();
+      EXPECT_EQ(batch[i].plan_text, solo[i].plan_text);
+      EXPECT_TRUE(batch[i].released == solo[i].released);
+      EXPECT_EQ(batch[i].released.Edges(), solo[i].released.Edges());
+      Graph expected = plan_service.base();
+      expected.RemoveEdges(batch[i].targets);
+      expected.RemoveEdges(batch[i].result.protectors);
+      EXPECT_TRUE(batch[i].released == expected);
+    }
+  }
+  EXPECT_LT(repository.NumBuilds(), repository.NumAcquisitions());
+}
+
 TEST(PlanPipelineTest, InstanceRepositoryInternsAndMemoizesErrors) {
   const Graph& base = ArenasBase();
   InstanceRepository repository(&base);
