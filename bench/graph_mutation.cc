@@ -145,8 +145,10 @@ void CheckPlansByteIdentical(IndexedEngine& repaired,
   Result<core::ProtectionResult> a =
       core::RunSolver(spec, repaired, edited_inst, rng_a);
   TPP_CHECK(a.ok());
+  // Adopt takes ownership of its instance; the caller's stays readable.
+  TppInstance adopted_inst = edited_inst;
   Result<IndexedEngine> adopted =
-      IndexedEngine::Adopt(edited_inst, std::move(rebuilt));
+      IndexedEngine::Adopt(std::move(adopted_inst), std::move(rebuilt));
   TPP_CHECK(adopted.ok());
   Result<core::ProtectionResult> b =
       core::RunSolver(spec, *adopted, edited_inst, rng_b);
@@ -188,10 +190,13 @@ ChurnResult RunChurnLevel(MotifKind kind, const TppInstance& inst,
     GraphDelta delta = RandomChurn(inst.released, target_keys, out.edits,
                                    rng);
 
-    // An engine that owns its graph, like a repository prototype edited
-    // between batches: a clone would share the prototype's graph, and
-    // ApplyEdit would copy the whole graph inside the timer first.
-    IndexedEngine repaired = *IndexedEngine::Adopt(inst, prototype.index());
+    // An engine that owns its instance, like a repository prototype
+    // edited between batches: a clone would share the prototype's
+    // instance, and ApplyEdit would copy the whole graph inside the timer
+    // first. The instance copy is made here, outside the timer.
+    TppInstance owned = inst;
+    IndexedEngine repaired =
+        *IndexedEngine::Adopt(std::move(owned), prototype.index());
     {
       WallTimer timer;
       TPP_CHECK(repaired.ApplyEdit(delta).ok());

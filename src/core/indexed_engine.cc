@@ -23,35 +23,29 @@ constexpr uint32_t kNoRow = motif::IncidenceIndex::kNoEdge;
 
 }  // namespace
 
-Result<IndexedEngine> IndexedEngine::Create(const TppInstance& instance) {
-  return Create(instance, motif::IncidenceIndex::BuildOptions{});
-}
-
 Result<IndexedEngine> IndexedEngine::Create(
-    const TppInstance& instance,
+    TppInstance instance,
     const motif::IncidenceIndex::BuildOptions& build_options,
     motif::IncidenceIndex::BuildStats* build_stats) {
   TPP_ASSIGN_OR_RETURN(motif::IncidenceIndex index,
                        motif::IncidenceIndex::Build(
                            instance.released, instance.targets,
                            instance.motif, build_options, build_stats));
-  return IndexedEngine(instance.released, std::move(index), instance.targets,
-                       instance.motif);
+  return IndexedEngine(std::move(instance), std::move(index));
 }
 
-Result<IndexedEngine> IndexedEngine::Adopt(const TppInstance& instance,
+Result<IndexedEngine> IndexedEngine::Adopt(TppInstance&& instance,
                                            motif::IncidenceIndex index) {
   if (index.NumTargets() != instance.targets.size()) {
     return Status::InvalidArgument(
         "adopted index was built over a different target count");
   }
-  return IndexedEngine(instance.released, std::move(index), instance.targets,
-                       instance.motif);
+  return IndexedEngine(std::move(instance), std::move(index));
 }
 
 IndexedEngine IndexedEngine::Clone() const {
   IndexedEngine copy(*this);
-  copy.current_.reset();  // rebuilt on demand from base_ and deleted_
+  copy.current_.reset();  // rebuilt on demand from instance_ and deleted_
   copy.gain_evals_ = 0;
   copy.table_.Reset();
   copy.session_dirty_.clear();
@@ -63,14 +57,14 @@ IndexedEngine IndexedEngine::Clone() const {
 
 const graph::Graph& IndexedEngine::CurrentGraph() const {
   if (!current_.has_value()) {
-    current_.emplace(*base_);
+    current_.emplace(instance_->released);
     for (EdgeKey e : deleted_) TPP_CHECK(current_->RemoveEdgeKey(e).ok());
   }
   return *current_;
 }
 
 void IndexedEngine::LiveEdgeKeysInto(std::vector<EdgeKey>* out) const {
-  *out = base_->EdgeKeys();
+  *out = instance_->released.EdgeKeys();
   if (deleted_.empty()) return;
   // Both lists are ascending and every deleted key is in the base, so one
   // merge pass drops them in place.
@@ -93,23 +87,26 @@ Status IndexedEngine::ApplyEdit(const graph::GraphDelta& delta,
         "ApplyEdit requires an engine without committed deletions");
   }
   // Graph first (the repair enumerates created instances on the post-edit
-  // graph), index second. A base graph still shared with live clones is
-  // unshared first, so they keep their pre-edit graph; a repair failure
+  // graph), index second. An instance still shared with live clones is
+  // unshared first, so they keep their pre-edit instance; a repair failure
   // rolls the graph back by replaying the inverse delta, so errors leave
-  // the engine's graph and index unchanged.
-  if (base_.use_count() > 1) base_ = std::make_shared<graph::Graph>(*base_);
-  TPP_RETURN_IF_ERROR(base_->ApplyDelta(delta));
-  Status repaired =
-      index_.ApplyGraphDelta(*base_, targets_, motif_, delta, cancel);
+  // the engine's instance and index unchanged.
+  if (instance_.use_count() > 1) {
+    instance_ = std::make_shared<TppInstance>(*instance_);
+  }
+  graph::Graph& released = instance_->released;
+  TPP_RETURN_IF_ERROR(released.ApplyDelta(delta));
+  Status repaired = index_.ApplyGraphDelta(released, instance_->targets,
+                                           instance_->motif, delta, cancel);
   if (!repaired.ok()) {
     graph::GraphDelta inverse;
     inverse.inserted = delta.removed;
     inverse.removed = delta.inserted;
-    Status rollback = base_->ApplyDelta(inverse);
+    Status rollback = released.ApplyDelta(inverse);
     TPP_CHECK(rollback.ok());
     return repaired;
   }
-  current_.reset();  // CurrentGraph() rebuilds it from the edited base
+  current_.reset();  // CurrentGraph() rebuilds it from the edited graph
   // The candidate universe and count arrays the session aliases changed
   // shape: reset, exactly as Clone does, so the next BeginRound is a full
   // evaluation against the repaired layout.
@@ -225,7 +222,8 @@ void IndexedEngine::BatchGainVector(std::span<const EdgeKey> edges,
 
 size_t IndexedEngine::DeleteEdge(EdgeKey e) {
   auto at = std::lower_bound(deleted_.begin(), deleted_.end(), e);
-  if (!base_->HasEdgeKey(e) || (at != deleted_.end() && *at == e)) {
+  if (!instance_->released.HasEdgeKey(e) ||
+      (at != deleted_.end() && *at == e)) {
     return 0;  // absent or already deleted: no-op
   }
   deleted_.insert(at, e);
@@ -388,9 +386,9 @@ const RoundGains& IndexedEngine::BeginRound(CandidateScope scope,
   }
   session_flush_epoch_ = index_.CountsFlushEpoch();
   table_.view.num_candidates =
-      scope == CandidateScope::kTargetSubgraphEdges ? index_.NumAliveEdges()
-                                                    : base_->NumEdges() -
-                                                          deleted_.size();
+      scope == CandidateScope::kTargetSubgraphEdges
+          ? index_.NumAliveEdges()
+          : instance_->released.NumEdges() - deleted_.size();
   // One evaluation per live candidate, exactly the cold sweep's count.
   gain_evals_ += table_.view.num_candidates;
   return table_.view;

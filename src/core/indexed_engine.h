@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -26,24 +27,25 @@ namespace tpp::core {
 /// study.
 class IndexedEngine : public Engine {
  public:
-  /// Builds the incidence index (parallel over the shared pool at the
-  /// global thread budget; bit-identical at any thread count); fails if a
-  /// target is still present in the released graph.
-  static Result<IndexedEngine> Create(const TppInstance& instance);
-
-  /// Create with an explicit index-build thread budget and optional
-  /// per-stage build timings (motif::IncidenceIndex::BuildStats).
+  /// Builds the incidence index (parallel over the shared pool; optional
+  /// per-stage timings; bit-identical at any thread count) and takes
+  /// ownership of `instance`. Fails if a target is still present in the
+  /// released graph.
   static Result<IndexedEngine> Create(
-      const TppInstance& instance,
-      const motif::IncidenceIndex::BuildOptions& build_options,
+      TppInstance instance,
+      const motif::IncidenceIndex::BuildOptions& build_options = {},
       motif::IncidenceIndex::BuildStats* build_stats = nullptr);
 
-  /// Wraps an already-built index around `instance`'s released graph —
-  /// the warm-start path: the index came from a snapshot file
-  /// (motif/index_snapshot.h) instead of a cold Build. Fails when the
-  /// index's target count does not match the instance's.
-  static Result<IndexedEngine> Adopt(const TppInstance& instance,
+  /// Wraps an already-built index around `instance` — the warm-start
+  /// path: the index came from a snapshot file (motif/index_snapshot.h)
+  /// instead of a cold Build. Fails, leaving `instance` untouched for a
+  /// cold Create, when the index's target count does not match.
+  static Result<IndexedEngine> Adopt(TppInstance&& instance,
                                      motif::IncidenceIndex index);
+
+  /// The instance (released graph without this engine's deletions,
+  /// targets, motif): one object shared by a prototype and its clones.
+  const TppInstance& instance() const { return *instance_; }
 
   size_t NumTargets() const override { return index_.NumTargets(); }
   size_t SimilarityOf(size_t t) override { return index_.AliveForTarget(t); }
@@ -96,7 +98,7 @@ class IndexedEngine : public Engine {
   const RoundGains& BeginRound(CandidateScope scope,
                                bool per_target) override;
   /// The released graph minus this engine's committed deletions: the
-  /// engine's own copy, built from the shared base graph on the first
+  /// engine's own copy, built from the shared released graph on the first
   /// call and kept in step with every later DeleteEdge, so a reference
   /// follows later deletions as on NaiveEngine. Valid until the next
   /// ApplyEdit. The first call writes the copy: not safe to call
@@ -105,7 +107,7 @@ class IndexedEngine : public Engine {
   uint64_t GainEvaluations() const override { return gain_evals_; }
 
   /// Cheap private copy for shared-instance batching: shares the
-  /// immutable base graph (a pointer copy, no adjacency list is copied or
+  /// immutable instance (a pointer copy, no adjacency list is copied or
   /// freed per request), copies the committed-deletion overlay and the
   /// index's mutable alive-count arrays, so the clone can commit
   /// deletions without touching this engine or its siblings. Cloning a
@@ -119,22 +121,22 @@ class IndexedEngine : public Engine {
   IndexedEngine Clone() const;
 
   /// Applies a committed base-graph edit (graph::Graph::EditSession
-  /// delta) to this engine IN PLACE: advances the engine's base graph and
-  /// repairs the incidence index around the delta neighborhood
+  /// delta) to this engine IN PLACE: advances the instance's released
+  /// graph and repairs the incidence index around the delta neighborhood
   /// (motif::IncidenceIndex::ApplyGraphDelta) instead of re-enumerating —
   /// the result answers every query exactly as an engine freshly built
   /// from the edited graph would (plans come out byte-identical;
   /// bench/graph_mutation.cc checks this every rep). When a live clone
-  /// still shares the base graph, the graph is copied first (O(graph)) so
-  /// the clone keeps answering against the pre-edit graph; the
-  /// repository edits its prototypes between batches, when no clone is
-  /// alive, so its edits never copy. Requires a FRESH engine — no
-  /// deletions committed yet (prototype engines between batches, not
-  /// per-request clones mid-solve; FailedPrecondition otherwise); errors
-  /// leave both graph and index unchanged. Any incremental round session
-  /// is reset, exactly as on Clone. The delta must not touch a target
-  /// link: edits to target links change the problem itself, so the owning
-  /// service rebuilds those groups instead (service/instance_repository.h).
+  /// still shares the instance, it is copied first (O(graph)) so the
+  /// clone keeps the pre-edit one; the repository edits its prototypes
+  /// between batches, when no clone is alive, so its edits never copy.
+  /// Requires a FRESH engine — no deletions committed yet (prototype
+  /// engines between batches, not per-request clones mid-solve;
+  /// FailedPrecondition otherwise); errors leave both instance and index
+  /// unchanged. Any incremental round session is reset, exactly as on
+  /// Clone. The delta must not touch a target link: edits to target links
+  /// change the problem itself, so the owning service rebuilds those
+  /// groups instead (service/instance_repository.h).
   /// `cancel` (optional) is polled before the repair mutates anything;
   /// once the repair starts it runs to completion.
   Status ApplyEdit(const graph::GraphDelta& delta,
@@ -155,15 +157,12 @@ class IndexedEngine : public Engine {
   const motif::IncidenceIndex& index() const { return index_; }
 
  private:
-  IndexedEngine(const graph::Graph& g, motif::IncidenceIndex index,
-                std::vector<graph::Edge> targets, motif::MotifKind motif)
-      : base_(std::make_shared<graph::Graph>(g)),
-        index_(std::move(index)),
-        targets_(std::move(targets)),
-        motif_(motif) {}
+  IndexedEngine(TppInstance instance, motif::IncidenceIndex index)
+      : instance_(std::make_shared<TppInstance>(std::move(instance))),
+        index_(std::move(index)) {}
 
-  // The current graph's edge keys, ascending: the base graph's minus the
-  // deletion overlay.
+  // The current graph's edge keys, ascending: the released graph's minus
+  // the deletion overlay.
   void LiveEdgeKeysInto(std::vector<graph::EdgeKey>* out) const;
 
   // Shared worker-sizing and dispatch of the row-granular parallel jobs
@@ -182,21 +181,16 @@ class IndexedEngine : public Engine {
   // (Re)starts an incremental round session for (scope, per_target).
   void InitRoundSession(CandidateScope scope, bool per_target);
 
-  // The released graph, shared by the prototype and all its clones and
-  // never mutated while shared (ApplyEdit copies on write). The current
-  // graph is base_ minus deleted_, this engine's committed deletions
-  // (sorted ascending; a budget's worth of keys, not a graph).
-  std::shared_ptr<graph::Graph> base_;
+  // Shared by the prototype and all its clones and never mutated while
+  // shared (ApplyEdit copies on write). The current graph is its released
+  // graph minus deleted_, this engine's committed deletions (sorted
+  // ascending; a budget's worth of keys, not a graph).
+  std::shared_ptr<TppInstance> instance_;
   std::vector<graph::EdgeKey> deleted_;
   // CurrentGraph()'s defended graph, built on its first call and kept in
   // step by DeleteEdge afterwards; dropped by Clone and ApplyEdit.
   mutable std::optional<graph::Graph> current_;
   motif::IncidenceIndex index_;
-  // Build identity retained for ApplyEdit: the index repair re-derives
-  // created instances per target, and the index itself only records the
-  // motif's arity.
-  std::vector<graph::Edge> targets_;
-  motif::MotifKind motif_ = motif::MotifKind::kTriangle;
   uint64_t gain_evals_ = 0;
   int threads_ = 0;
 

@@ -14,6 +14,22 @@ namespace tpp::service {
 using core::IndexedEngine;
 using core::TppInstance;
 
+namespace {
+
+// A group's snapshot key under the base graph's fingerprint.
+motif::IndexSnapshotMeta SnapshotMeta(uint64_t fingerprint,
+                                      const std::vector<graph::Edge>& targets,
+                                      motif::MotifKind motif) {
+  motif::IndexSnapshotMeta meta;
+  meta.graph_fingerprint = fingerprint;
+  meta.target_hash = graph::TargetSetHash(targets);
+  meta.motif = motif;
+  meta.num_targets = static_cast<uint32_t>(targets.size());
+  return meta;
+}
+
+}  // namespace
+
 size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
                                   motif::MotifKind motif) {
   std::string key =
@@ -30,6 +46,20 @@ size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
   return it->second;
 }
 
+void InstanceRepository::SaveSnapshot(const Group& group) {
+  // Best effort: the warm start is an optimization, so a full disk or I/O
+  // error must not fail the request or the edit.
+  Status saved = store_->SaveIndex(
+      std::as_const(*group.engine).index(),
+      SnapshotMeta(base_fingerprint_, group.targets, group.motif));
+  if (saved.ok()) {
+    snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
+                 saved.ToString().c_str());
+  }
+}
+
 void InstanceRepository::BuildGroup(Group& group,
                                     const CancellationToken* cancel) {
   builds_.fetch_add(1, std::memory_order_relaxed);
@@ -44,18 +74,15 @@ void InstanceRepository::BuildGroup(Group& group,
     group.status = instance.status();
     return;
   }
-  group.instance.emplace(std::move(*instance));
 
-  motif::IndexSnapshotMeta meta;
   if (store_ != nullptr) {
-    meta.graph_fingerprint = base_fingerprint_;
-    meta.target_hash = graph::TargetSetHash(group.instance->targets);
-    meta.motif = group.motif;
-    meta.num_targets = static_cast<uint32_t>(group.instance->targets.size());
-    Result<motif::IncidenceIndex> snapshot = store_->LoadIndex(meta);
+    Result<motif::IncidenceIndex> snapshot =
+        store_->LoadIndex(SnapshotMeta(base_fingerprint_, group.targets,
+                                       group.motif));
     if (snapshot.ok()) {
+      // A rejected adoption leaves the instance intact for the cold build.
       Result<IndexedEngine> adopted =
-          IndexedEngine::Adopt(*group.instance, std::move(*snapshot));
+          IndexedEngine::Adopt(std::move(*instance), std::move(*snapshot));
       if (adopted.ok()) {
         snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
         group.engine.emplace(std::move(*adopted));
@@ -79,24 +106,13 @@ void InstanceRepository::BuildGroup(Group& group,
   build_options.threads = build_threads_;
   build_options.cancel = cancel;
   Result<IndexedEngine> engine =
-      IndexedEngine::Create(*group.instance, build_options);
+      IndexedEngine::Create(std::move(*instance), build_options);
   if (!engine.ok()) {
     group.status = engine.status();
-    group.instance.reset();
     return;
   }
   group.engine.emplace(std::move(*engine));
-  if (store_ != nullptr) {
-    // Best-effort write-back: the warm start is an optimization, so a
-    // full disk or I/O error must not fail the request.
-    Status saved = store_->SaveIndex(group.engine->index(), meta);
-    if (saved.ok()) {
-      snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
-                   saved.ToString().c_str());
-    }
-  }
+  if (store_ != nullptr) SaveSnapshot(group);
 }
 
 Result<IndexedEngine> InstanceRepository::AcquireEngine(
@@ -133,7 +149,6 @@ void InstanceRepository::ResetGroup(Group& group) {
   group.built = false;
   group.status = Status::Ok();
   group.engine.reset();
-  group.instance.reset();
 }
 
 void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
@@ -162,11 +177,10 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
       ++edit_resets_;
       continue;
     }
-    // In-place repair: released graph first, then the engine (its base
-    // graph, copied first if a live clone still shares it, and the
-    // incidence-index repair around the delta neighborhood).
-    Status repaired = group.instance->released.ApplyDelta(delta);
-    if (repaired.ok()) repaired = group.engine->ApplyEdit(delta);
+    // In-place repair: the prototype engine applies the delta to its
+    // instance, the group's only copy of the released graph, and repairs
+    // its incidence index around the delta neighborhood.
+    Status repaired = group.engine->ApplyEdit(delta);
     if (!repaired.ok()) {
       std::fprintf(stderr,
                    "tpp: in-place instance repair failed (%s); group will "
@@ -177,25 +191,9 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
       continue;
     }
     ++edit_repairs_;
-    if (store_ != nullptr) {
-      // Re-home the snapshot under the post-edit fingerprint (best
-      // effort, like the cold-build write-back) so the NEXT process
-      // start warm-loads the repaired index.
-      motif::IndexSnapshotMeta meta;
-      meta.graph_fingerprint = base_fingerprint_;
-      meta.target_hash = graph::TargetSetHash(group.instance->targets);
-      meta.motif = group.motif;
-      meta.num_targets = static_cast<uint32_t>(group.instance->targets.size());
-      const motif::IncidenceIndex& index =
-          std::as_const(*group.engine).index();
-      Status saved = store_->SaveIndex(index, meta);
-      if (saved.ok()) {
-        snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
-                     saved.ToString().c_str());
-      }
-    }
+    // Re-home the snapshot under the post-edit fingerprint so the NEXT
+    // process start warm-loads the repaired index.
+    if (store_ != nullptr) SaveSnapshot(group);
   }
 }
 

@@ -5,15 +5,16 @@
 // rebuild the same TppInstance and CSR IncidenceIndex — the dominant
 // serving cost on large graphs (a full motif enumeration per request).
 // The repository interns each distinct (ordered target list, motif) pair
-// into a group, builds the group's instance and a prototype IndexedEngine
-// exactly once (thread-safe: the first acquirer builds, concurrent
-// acquirers wait on the same per-group build mutex), and hands every
-// request a private engine clone (IndexedEngine::Clone) whose committed
-// deletions cannot leak across requests. Clone shares the released graph,
-// copies the index's mutable state and a private deletion overlay, but
-// RESETS the incremental round session (the persistent gain table of
-// Engine::BeginRound), so every request's solver starts its rounds from
-// a full evaluation rather than a sibling request's dirty tracking.
+// into a group, builds the group's prototype IndexedEngine exactly once
+// (thread-safe: the first acquirer builds, concurrent acquirers wait on
+// the same per-group build mutex), and hands every request a private
+// engine clone (IndexedEngine::Clone) whose committed deletions cannot
+// leak across requests. The prototype owns the group's one TppInstance;
+// Clone shares it, copies the index's mutable state and a private
+// deletion overlay, but RESETS the incremental round session (the
+// persistent gain table of Engine::BeginRound), so every request's
+// solver starts its rounds from a full evaluation rather than a sibling
+// request's dirty tracking.
 //
 // Target ORDER is part of the group identity: per-target budget division
 // and plan serialization follow target positions, so reordered target
@@ -22,12 +23,12 @@
 // A repository lives for one RunBatch pipeline execution by default, but
 // can be owned externally (BatchOptions::repository) and carried across
 // batches: between batches, ApplyEdit advances every built group across a
-// committed base-graph edit by repairing its released graph and prototype
-// engine IN PLACE (IndexedEngine::ApplyEdit — O(delta-neighborhood), not
-// a re-enumeration), so churn-then-solve workloads never pay a cold
-// build for untouched instances. Build errors (e.g. a target link absent
-// from the base) are memoized per group so every member request reports
-// the same status a standalone run would.
+// committed base-graph edit by repairing its prototype engine IN PLACE
+// (IndexedEngine::ApplyEdit, one delta application per group —
+// O(delta-neighborhood), not a re-enumeration), so churn-then-solve
+// workloads never pay a cold build for untouched instances. Build errors
+// (e.g. a target link absent from the base) are memoized per group so
+// every member request reports the same status a standalone run would.
 
 #ifndef TPP_SERVICE_INSTANCE_REPOSITORY_H_
 #define TPP_SERVICE_INSTANCE_REPOSITORY_H_
@@ -86,21 +87,22 @@ class InstanceRepository {
   size_t Intern(const std::vector<graph::Edge>& targets,
                 motif::MotifKind motif);
 
-  /// Builds the group's TppInstance + prototype engine on first call
-  /// (thread-safe build-once) and returns a private clone. Build errors
-  /// are memoized: every acquirer of a failed group gets the same status
-  /// — EXCEPT cancellation/deadline failures (kAborted, kDeadlineExceeded
-  /// from `cancel`, polled at the build's internal stage boundaries).
+  /// Builds the group's prototype engine on first call (thread-safe
+  /// build-once) and returns a private clone. Build errors are memoized:
+  /// every acquirer of a failed group gets the same status — EXCEPT
+  /// cancellation/deadline failures (kAborted, kDeadlineExceeded from
+  /// `cancel`, polled at the build's internal stage boundaries).
   /// Those depend on the requesting caller's clock, not the group, so the
   /// group resets to unbuilt and the next acquirer rebuilds under its own
   /// deadline.
   Result<core::IndexedEngine> AcquireEngine(
       size_t group, const CancellationToken* cancel = nullptr);
 
-  /// The group's problem instance; valid only after AcquireEngine(group)
-  /// returned OK, immutable from then on (safe to read concurrently).
+  /// The group's problem instance, the prototype's and every clone's;
+  /// valid only after AcquireEngine(group) returned OK, immutable until
+  /// the next ApplyEdit (safe to read concurrently).
   const core::TppInstance& instance(size_t group) const {
-    return *groups_[group].instance;
+    return groups_[group].engine->instance();
   }
 
   /// Distinct (targets, motif) groups interned.
@@ -138,10 +140,10 @@ class InstanceRepository {
   ///     unbuilt (the edit changed the problem itself, so the next
   ///     acquisition cold-builds), as are groups holding a memoized build
   ///     error (the edit may have cured it);
-  ///   * every other built group is repaired in place: the delta replays
-  ///     onto the instance's released graph and the prototype engine's
-  ///     index (IndexedEngine::ApplyEdit), after which clones answer
-  ///     exactly as if the group had been cold-built on the edited base.
+  ///   * every other built group is repaired in place by its prototype
+  ///     engine (IndexedEngine::ApplyEdit: the delta applied once, to the
+  ///     group's only released graph), after which clones answer exactly
+  ///     as if the group had been cold-built on the edited base.
   ///     A repair failure degrades to a reset, never an error.
   /// Repaired indexes write back to the store (best effort) under the new
   /// fingerprint. NOT thread-safe against AcquireEngine — call between
@@ -163,12 +165,14 @@ class InstanceRepository {
     std::mutex build_mu;
     bool built = false;  // guarded by build_mu
     Status status = Status::Ok();
-    std::optional<core::TppInstance> instance;
     std::optional<core::IndexedEngine> engine;  // the shared prototype
   };
 
   /// The build-once body: try the store, else cold-build + write back.
   void BuildGroup(Group& group, const CancellationToken* cancel);
+
+  /// Writes the built group's index to the store (best effort).
+  void SaveSnapshot(const Group& group);
 
   /// Returns `group` to the unbuilt state; the next acquisition rebuilds.
   static void ResetGroup(Group& group);

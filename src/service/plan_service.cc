@@ -34,13 +34,13 @@ namespace {
 constexpr size_t kNoGroup = std::numeric_limits<size_t>::max();
 
 // The solve tail shared by RunOne and the batch pipeline: everything
-// after the targets are resolved and an engine over the instance exists.
+// after the targets are resolved and an engine owning the instance exists.
 // Keeping it one function makes "pipeline output == sequential RunOne
 // loop" an identity by construction, not by coincidence.
-void SolveWithEngine(const PlanRequest& request, const TppInstance& instance,
-                     IndexedEngine& engine, Rng& rng,
-                     const CancellationToken* cancel,
+void SolveWithEngine(const PlanRequest& request, IndexedEngine& engine,
+                     Rng& rng, const CancellationToken* cancel,
                      PlanResponse* response) {
+  const TppInstance& instance = engine.instance();
   SolverSpec spec = request.spec;
   if (cancel != nullptr) spec.cancel = cancel;
   Result<core::ProtectionResult> result =
@@ -127,12 +127,12 @@ PlanResponse PlanService::RunOne(const PlanRequest& request) const {
   motif::IncidenceIndex::BuildOptions build_options;
   build_options.cancel = cancel;
   Result<IndexedEngine> engine =
-      IndexedEngine::Create(*instance, build_options);
+      IndexedEngine::Create(std::move(*instance), build_options);
   if (!engine.ok()) {
     response.status = engine.status();
     return response;
   }
-  SolveWithEngine(request, *instance, *engine, rng, cancel, &response);
+  SolveWithEngine(request, *engine, rng, cancel, &response);
   if (!response.status.ok()) return response;
   response.seconds = timer.Seconds();
   return response;
@@ -279,8 +279,8 @@ std::vector<PlanResponse> PlanService::RunPipeline(
       if (!engine.ok()) {
         response.status = engine.status();
       } else {
-        SolveWithEngine(request, repository.instance(unit.group), *engine,
-                        *unit.rng, unit.cancel, &response);
+        SolveWithEngine(request, *engine, *unit.rng, unit.cancel,
+                        &response);
       }
       if (response.status.ok()) response.seconds = timer.Seconds();
     }

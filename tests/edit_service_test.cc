@@ -214,11 +214,25 @@ TEST(PlanServiceEditTest, RepositoryRepairsAcrossBatchesWithoutRebuilds) {
   ASSERT_TRUE(first[0].status.ok());
   EXPECT_EQ(stats.instance_builds, 1u);
 
+  // One graph per group: a clone reads the repository's own instance.
+  const std::vector<Edge>& targets = requests[0].targets;
+  const size_t group = repository.Intern(targets, requests[0].motif);
+  {
+    Result<core::IndexedEngine> clone = repository.AcquireEngine(group);
+    ASSERT_TRUE(clone.ok());
+    EXPECT_EQ(&clone->instance(), &repository.instance(group));
+  }
+
   Result<EditSummary> summary =
       service.ApplyEdit(ClusterBDelta(), nullptr, &repository);
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->groups_repaired, 1u);
   EXPECT_EQ(summary->groups_reset, 0u);
+  // The edit landed on the graph the solver reads (budget splits read its
+  // degrees): the group's released graph is a cold one on the edited base.
+  EXPECT_EQ(repository.instance(group).released.EdgeKeys(),
+            core::MakeInstance(service.base(), targets, requests[0].motif)
+                ->released.EdgeKeys());
 
   // The follow-up batch re-clones the repaired prototype: zero builds,
   // and the response is byte-identical to a cold service on the edited

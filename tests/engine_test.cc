@@ -5,6 +5,7 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -140,7 +141,7 @@ TEST(NaiveEngineTest, GainOnAbsentEdgeIsZero) {
   EXPECT_EQ(engine.Gain(MakeEdgeKey(0, 4)), 0u);  // not an edge
 }
 
-// Clone semantics: clones share the prototype's base graph and carry only
+// Clone semantics: clones share the prototype's instance and carry only
 // their own committed deletions, so every observable answer must match an
 // engine that owns a private copy of the graph.
 
@@ -290,6 +291,8 @@ TEST_P(IndexedEngineCloneTest, ApplyEditLeavesLiveClonesUntouched) {
   IndexedEngine clone = prototype.Clone();
   const Graph graph_before = inst.released;
   const std::vector<size_t> gains_before = AllGains(clone);
+  const TppInstance* shared = &prototype.instance();
+  EXPECT_EQ(&clone.instance(), shared);
 
   // Remove one released edge, insert one absent non-target pair.
   graph::GraphDelta delta;
@@ -308,6 +311,19 @@ TEST_P(IndexedEngineCloneTest, ApplyEditLeavesLiveClonesUntouched) {
   EXPECT_TRUE(prototype.CurrentGraph() == edited);
   EXPECT_TRUE(clone.CurrentGraph() == graph_before);
   EXPECT_EQ(AllGains(clone), gains_before);
+  // The edit copied the shared instance: the clone keeps the pre-edit
+  // one, the prototype's own copy carries the edit.
+  EXPECT_EQ(&clone.instance(), shared);
+  EXPECT_NE(&prototype.instance(), shared);
+  EXPECT_TRUE(clone.instance().released == graph_before);
+  EXPECT_EQ(clone.instance().targets, inst.targets);
+  EXPECT_EQ(prototype.instance().targets, inst.targets);
+  Graph original = edited;
+  for (const Edge& t : inst.targets) {
+    ASSERT_TRUE(original.AddEdge(t.u, t.v).ok());
+  }
+  EXPECT_TRUE(prototype.instance().released ==
+              MakeInstance(original, inst.targets, GetParam())->released);
 
   // The repaired prototype answers like a cold build on the edited graph.
   TppInstance edited_inst = inst;
@@ -320,6 +336,7 @@ TEST_P(IndexedEngineCloneTest, ApplyEditLeavesLiveClonesUntouched) {
   // were: removing an absent edge fails in the graph, inserting a target
   // link passes the graph and fails in the index repair.
   IndexedEngine second = prototype.Clone();
+  const TppInstance* second_instance = &second.instance();
   graph::GraphDelta absent;
   absent.removed = {delta.removed[0]};
   graph::GraphDelta target_link;
@@ -328,6 +345,9 @@ TEST_P(IndexedEngineCloneTest, ApplyEditLeavesLiveClonesUntouched) {
     EXPECT_FALSE(prototype.ApplyEdit(bad).ok());
     EXPECT_TRUE(prototype.CurrentGraph() == edited);
     EXPECT_TRUE(second.CurrentGraph() == edited);
+    EXPECT_TRUE(prototype.instance().released == edited);
+    EXPECT_EQ(&second.instance(), second_instance);
+    EXPECT_TRUE(second.instance().released == edited);
     EXPECT_EQ(AllGains(prototype), AllGains(cold));
   }
 
@@ -343,6 +363,27 @@ TEST_P(IndexedEngineCloneTest, ApplyEditLeavesLiveClonesUntouched) {
   graph::GraphDelta undo;
   undo.removed = delta.inserted;
   EXPECT_EQ(second.ApplyEdit(undo).code(), StatusCode::kFailedPrecondition);
+}
+
+// The repository's warm-store fallback hands a rejected snapshot's
+// instance on to the cold build, so a failed Adopt must not take it.
+TEST_P(IndexedEngineCloneTest, RejectedAdoptionKeepsTheInstance) {
+  TppInstance inst = RandomInstance(GetParam(), 7);
+  std::vector<Edge> fewer(inst.targets.begin(), inst.targets.end() - 1);
+  Result<motif::IncidenceIndex> index =
+      motif::IncidenceIndex::Build(inst.released, fewer, GetParam());
+  ASSERT_TRUE(index.ok());
+  TppInstance kept = inst;
+  Result<IndexedEngine> adopted =
+      IndexedEngine::Adopt(std::move(kept), std::move(*index));
+  EXPECT_EQ(adopted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(kept.released == inst.released);
+  EXPECT_EQ(kept.targets, inst.targets);
+  EXPECT_EQ(kept.motif, inst.motif);
+  Result<IndexedEngine> cold = IndexedEngine::Create(std::move(kept));
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold->NumTargets(), inst.targets.size());
+  EXPECT_TRUE(cold->instance().released == inst.released);
 }
 
 INSTANTIATE_TEST_SUITE_P(
