@@ -1,6 +1,6 @@
 // google-benchmark micro-kernels for the library's hot paths: motif
 // enumeration, incidence-index construction, gain queries, greedy picks,
-// and the utility-metric substrates.
+// target sampling, and the utility-metric substrates.
 
 #include <benchmark/benchmark.h>
 
@@ -232,6 +232,24 @@ void BM_GraphCopyAndDelete(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphCopyAndDelete);
+
+// Sampling k=10 targets from the 95k-node graph servebench's dblp
+// workloads serve: Arg(0) the one-shot SampleTargets (builds an
+// EdgeRankIndex per call, one pass over every adjacency list), Arg(1) a
+// held index, as PlanService keeps one.
+void BM_SampleTargets(benchmark::State& state) {
+  static const Graph* graph = new Graph(*graph::MakeDblpLike(2020, 0.3));
+  const Graph& g = *graph;
+  const bool held = state.range(0) == 1;
+  const core::EdgeRankIndex index(g);
+  Rng rng(11);
+  for (auto _ : state) {
+    auto targets = held ? index.Sample(g, 10, rng)
+                        : core::SampleTargets(g, 10, rng);
+    benchmark::DoNotOptimize(targets->data());
+  }
+}
+BENCHMARK(BM_SampleTargets)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace tpp

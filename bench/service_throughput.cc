@@ -26,6 +26,7 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -333,7 +334,9 @@ int Run(int argc, char** argv) {
   std::fprintf(f, "  \"fixture\": \"arenas_email_like\",\n");
   std::fprintf(f, "  \"requests\": %zu,\n", requests.size());
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"hardware_threads\": %d,\n", GlobalThreadCount());
+  std::fprintf(f, "  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"pool_threads\": %d,\n", GlobalThreadCount());
   std::fprintf(f, "  \"identical_to_sequential\": %s,\n",
                identical ? "true" : "false");
   std::fprintf(f, "  \"serial_seconds\": %.4f,\n", serial_seconds);

@@ -1,10 +1,10 @@
 #include "core/problem.h"
 
 #include <algorithm>
-#include <numeric>
 #include <span>
 #include <unordered_set>
 
+#include "common/check.h"
 #include "common/strings.h"
 
 namespace tpp::core {
@@ -36,39 +36,79 @@ Result<TppInstance> MakeInstance(const Graph& original,
   return inst;
 }
 
-Result<std::vector<Edge>> SampleTargets(const Graph& g, size_t count,
-                                        Rng& rng) {
+EdgeRankIndex::EdgeRankIndex(const Graph& g) : prefix_(g.NumNodes() + 1) {
+  size_t edges = 0;
+  for (graph::NodeId u = 0; u < g.NumNodes(); ++u) {
+    prefix_[u] = edges;
+    std::span<const graph::NodeId> nbrs = g.Neighbors(u);
+    edges += nbrs.end() - std::upper_bound(nbrs.begin(), nbrs.end(), u);
+  }
+  prefix_.back() = edges;
+}
+
+Result<std::vector<Edge>> EdgeRankIndex::Sample(const Graph& g, size_t count,
+                                                Rng& rng) const {
+  TPP_CHECK_EQ(prefix_.size(), g.NumNodes() + 1);
+  TPP_CHECK_EQ(prefix_.back(), g.NumEdges());
   if (count > g.NumEdges()) {
     return Status::InvalidArgument(
         StrFormat("cannot sample %zu targets from %zu edges", count,
                   g.NumEdges()));
   }
   // The same index draw as rng.SampleK(g.Edges(), count), resolved
-  // without materializing the edge list: Edges() orders edges by (u, v)
-  // with u < v, so index i is the i-th upper neighbor in one ascending
-  // walk over the nodes. Draws are visited in index order and written
-  // back at their draw position.
+  // without materializing the edge list. Adjacency lists are sorted, so
+  // u's upper neighbors are the last P[u+1] - P[u] entries of its list.
   std::vector<size_t> draws =
       rng.SampleWithoutReplacement(g.NumEdges(), count);
-  std::vector<size_t> by_index(draws.size());
-  std::iota(by_index.begin(), by_index.end(), size_t{0});
-  std::sort(by_index.begin(), by_index.end(),
-            [&](size_t a, size_t b) { return draws[a] < draws[b]; });
-  std::vector<Edge> out(draws.size());
-  size_t next = 0;
-  size_t first = 0;  // index of u's first upper neighbor
-  for (graph::NodeId u = 0; u < g.NumNodes() && next < by_index.size(); ++u) {
+  std::vector<Edge> out;
+  out.reserve(draws.size());
+  for (size_t rank : draws) {
+    const auto next =
+        std::upper_bound(prefix_.begin() + 1, prefix_.end(), rank);
+    const auto u = static_cast<graph::NodeId>(next - prefix_.begin() - 1);
     std::span<const graph::NodeId> nbrs = g.Neighbors(u);
-    auto upper = std::upper_bound(nbrs.begin(), nbrs.end(), u);
-    const size_t num_upper = nbrs.end() - upper;
-    for (; next < by_index.size() &&
-           draws[by_index[next]] < first + num_upper;
-         ++next) {
-      out[by_index[next]] = Edge(u, upper[draws[by_index[next]] - first]);
-    }
-    first += num_upper;
+    const size_t num_upper = *next - prefix_[u];
+    TPP_CHECK_LE(num_upper, nbrs.size());
+    const graph::NodeId v =
+        nbrs[nbrs.size() - num_upper + (rank - prefix_[u])];
+    TPP_CHECK_GT(v, u);
+    out.emplace_back(u, v);
   }
   return out;
+}
+
+void EdgeRankIndex::ApplyDelta(const graph::GraphDelta& delta) {
+  // Lower endpoints: +1 per insertion, -1 per removal. Swept in node
+  // order, the running shift is added to one contiguous run of P at a
+  // time (unsigned wrap-around makes a negative shift a subtraction).
+  std::vector<std::pair<graph::NodeId, int64_t>> steps;
+  steps.reserve(delta.size());
+  for (const Edge& e : delta.inserted) {
+    steps.emplace_back(std::min(e.u, e.v), 1);
+  }
+  for (const Edge& e : delta.removed) {
+    steps.emplace_back(std::min(e.u, e.v), -1);
+  }
+  std::sort(steps.begin(), steps.end());
+  int64_t shift = 0;
+  for (size_t s = 0; s < steps.size();) {
+    const size_t begin = size_t{steps[s].first} + 1;
+    TPP_CHECK_LT(begin, prefix_.size());
+    for (const graph::NodeId a = steps[s].first;
+         s < steps.size() && steps[s].first == a; ++s) {
+      shift += steps[s].second;
+    }
+    const size_t end =
+        s < steps.size() ? size_t{steps[s].first} + 1 : prefix_.size();
+    for (size_t w = begin; w < end; ++w) {
+      prefix_[w] += static_cast<size_t>(shift);
+    }
+  }
+}
+
+Result<std::vector<Edge>> SampleTargets(const Graph& g, size_t count,
+                                        Rng& rng) {
+  return EdgeRankIndex(g).Sample(g, count, rng);
 }
 
 }  // namespace tpp::core

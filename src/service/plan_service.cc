@@ -78,7 +78,9 @@ const CancellationToken* ArmRequestToken(
 Rng RequestRng(uint64_t seed) { return Rng(SplitMix64(seed)); }
 
 PlanService::PlanService(graph::Graph base)
-    : base_(std::move(base)), fingerprint_(graph::Fingerprint(base_)) {}
+    : base_(std::move(base)),
+      fingerprint_(graph::Fingerprint(base_)),
+      edge_ranks_(base_) {}
 
 namespace {
 
@@ -105,7 +107,7 @@ PlanResponse PlanService::RunOne(const PlanRequest& request) const {
   Rng rng = RequestRng(request.seed);
   if (request.targets.empty()) {
     Result<std::vector<Edge>> sampled =
-        core::SampleTargets(base_, request.sample, rng);
+        edge_ranks_.Sample(base_, request.sample, rng);
     if (!sampled.ok()) {
       response.status = sampled.status();
       return response;
@@ -247,7 +249,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     unit.rng.emplace(RequestRng(request.seed));
     if (request.targets.empty()) {
       Result<std::vector<Edge>> sampled =
-          core::SampleTargets(base_, request.sample, *unit.rng);
+          edge_ranks_.Sample(base_, request.sample, *unit.rng);
       if (!sampled.ok()) {
         response.status = sampled.status();
         unit.failed = true;
@@ -391,6 +393,7 @@ Result<EditSummary> PlanService::ApplyEdit(const graph::GraphDelta& delta,
                  affected.end());
 
   TPP_RETURN_IF_ERROR(base_.ApplyDelta(delta));
+  edge_ranks_.ApplyDelta(delta);
   fingerprint_ =
       graph::UpdateFingerprint(fingerprint_, delta.inserted, delta.removed);
   summary.new_fingerprint = fingerprint_;

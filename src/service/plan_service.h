@@ -235,7 +235,8 @@ class PlanService {
   /// typically a graph::Graph::EditSession::Commit result replayed here)
   /// to the LIVE service: applies the delta to the base graph, advances
   /// the fingerprint in O(|delta|) (graph::UpdateFingerprint — no
-  /// re-walk), and keeps the serving state consistent:
+  /// re-walk), patches the sampler's core::EdgeRankIndex in one pass over
+  /// its prefix array, and keeps the serving state consistent:
   ///   * `cache` (if given): entries under the old fingerprint whose
   ///     response provably cannot change — deterministic algorithm,
   ///     explicit targets, restricted scope, every target endpoint
@@ -266,6 +267,8 @@ class PlanService {
 
   graph::Graph base_;
   uint64_t fingerprint_ = 0;
+  // Resolves sampled target ranks in O(k log N); patched by ApplyEdit.
+  core::EdgeRankIndex edge_ranks_;
   // Live RunBatch/RunOne executions; ApplyEdit refuses while nonzero.
   mutable std::atomic<int> active_runs_{0};
 };

@@ -270,6 +270,74 @@ TEST(PlanServiceEditTest, TargetTouchingEditResetsTheGroup) {
   EXPECT_EQ(summary->groups_reset, 1u);
 }
 
+PlanRequest SampledRequest(const std::string& name, size_t sample,
+                           uint64_t seed) {
+  PlanRequest request;
+  request.name = name;
+  request.sample = sample;
+  request.seed = seed;
+  request.spec.algorithm = "sgb";
+  request.spec.budget = 3;
+  return request;
+}
+
+// The plan text and realized targets of every response, in order.
+std::vector<std::string> Payloads(const std::vector<PlanResponse>& responses) {
+  std::vector<std::string> out;
+  for (const PlanResponse& r : responses) {
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    std::string payload = r.plan_text;
+    for (const Edge& t : r.targets) {
+      payload += StrFormat(" %u-%u", t.u, t.v);
+    }
+    out.push_back(std::move(payload));
+  }
+  return out;
+}
+
+// Sampled requests resolve their ranks through the service's held
+// edge-rank index, which ApplyEdit patches rather than rebuilds. After a
+// chain of edits (cluster A's first and last nodes, a node losing every
+// upper neighbor, the bridge) sampled RunOne and RunBatch answers must
+// equal those of a fresh service on the edited graph.
+TEST(PlanServiceEditTest, SampledRequestsAfterEditsMatchAFreshService) {
+  PlanService service(TwoClusters());
+  std::vector<PlanRequest> requests;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    requests.push_back(SampledRequest("s" + std::to_string(seed),
+                                      1 + seed % 4, seed));
+  }
+  std::vector<GraphDelta> chain(4);
+  chain[0].inserted = {E(0, 10)};
+  chain[0].removed = {E(18, 19)};
+  chain[1].removed = {E(37, 38), E(37, 39)};  // 37 keeps no upper neighbor
+  chain[2].inserted = {E(5, 39)};
+  chain[2].removed = {E(10, 30)};
+  chain[3] = ClusterBDelta();
+  for (const GraphDelta& delta : chain) {
+    ASSERT_TRUE(service.ApplyEdit(delta).ok());
+    PlanService fresh(Graph(service.base()));
+    std::vector<PlanResponse> one;
+    std::vector<PlanResponse> fresh_one;
+    for (const PlanRequest& request : requests) {
+      one.push_back(service.RunOne(request));
+      fresh_one.push_back(fresh.RunOne(request));
+    }
+    EXPECT_EQ(Payloads(one), Payloads(fresh_one));
+    EXPECT_EQ(Payloads(service.RunBatch(requests, 2)), Payloads(fresh_one));
+  }
+
+  // A rejected delta (an absent removal) leaves sampling unchanged.
+  std::vector<PlanResponse> before = service.RunBatch(requests, 1);
+  GraphDelta absent;
+  absent.inserted = {E(2, 12)};
+  absent.removed = {E(37, 38)};  // removed by chain[1]
+  EXPECT_FALSE(service.ApplyEdit(absent).ok());
+  EXPECT_EQ(Payloads(service.RunBatch(requests, 1)), Payloads(before));
+  EXPECT_EQ(Payloads({service.RunOne(requests[0])}),
+            Payloads({before[0]}));
+}
+
 TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {
   std::string dir =
       ::testing::TempDir() + "/tpp_evict_stale_test";
